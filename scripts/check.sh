@@ -21,6 +21,9 @@ echo "concurrency ok: gate clean, report deterministic"
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
 
+echo "== benchmark self-check (layer boundaries resolve, counts reproduce) =="
+python3 clio_bench/run.py --self-check
+
 echo "== trace determinism =="
 PYTHONPATH=src python scripts/trace_determinism.py
 

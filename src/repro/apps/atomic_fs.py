@@ -91,10 +91,7 @@ class AtomicFileUpdater:
     ):
         self.fs = fs
         self.service = service
-        try:
-            self.journal = service.open_log_file(journal_path)
-        except Exception:
-            self.journal = service.create_log_file(journal_path)
+        self.journal = service.open_or_create_log_file(journal_path)
         self._next_update_id = 1
 
     # -- update lifecycle ---------------------------------------------------

@@ -72,10 +72,7 @@ class AuditTrail:
 
     def __init__(self, service: LogService, path: str = "/audit"):
         self.service = service
-        try:
-            self.log = service.open_log_file(path)
-        except Exception:
-            self.log = service.create_log_file(path)
+        self.log = service.open_or_create_log_file(path)
 
     def record(self, kind: str, subject: str, detail: str = "") -> None:
         event = AuditEvent(

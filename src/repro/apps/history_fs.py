@@ -25,6 +25,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.core import LogService
+from repro.core.catalog import UnknownLogFile
 from repro.core.logfile import LogFile
 
 __all__ = ["HistoryFileServer", "HistoryFsStats"]
@@ -127,10 +128,7 @@ class HistoryFileServer:
         #: read access to files" (Section 4.1) — opt-in.
         self.log_reads = log_reads
         self.stats = HistoryFsStats()
-        try:
-            self.root = service.open_log_file(root_path)
-        except Exception:
-            self.root = service.create_log_file(root_path)
+        self.root = service.open_or_create_log_file(root_path)
         self._files: dict[str, _CachedFile] = {}
         self._logs: dict[str, LogFile] = {}
 
@@ -141,13 +139,9 @@ class HistoryFileServer:
 
     def _log_for(self, path: str) -> LogFile:
         if path not in self._logs:
-            name = self._log_name(path)
-            try:
-                self._logs[path] = self.service.open_log_file(
-                    f"{self.root.path}/{name}"
-                )
-            except Exception:
-                self._logs[path] = self.root.create_sublog(name)
+            self._logs[path] = self.root.open_or_create_sublog(
+                self._log_name(path)
+            )
         return self._logs[path]
 
     def _now(self) -> int:
@@ -237,7 +231,7 @@ class HistoryFileServer:
         name = self._log_name(path)
         try:
             log = self.service.open_log_file(f"{self.root.path}/{name}")
-        except Exception:
+        except UnknownLogFile:
             return []
         accesses = []
         for read_entry in log.entries():
@@ -270,7 +264,7 @@ class HistoryFileServer:
         name = self._log_name(path)
         try:
             log = self.service.open_log_file(f"{self.root.path}/{name}")
-        except Exception:
+        except UnknownLogFile:
             return None
         content = bytearray()
         props: dict[str, bytes] = {}

@@ -38,17 +38,11 @@ class AccessLogger:
 
     def __init__(self, service: LogService, root_path: str = "/access"):
         self.service = service
-        try:
-            self.root = service.open_log_file(root_path)
-        except Exception:
-            self.root = service.create_log_file(root_path)
+        self.root = service.open_or_create_log_file(root_path)
         self._sequence = 0
 
     def _sublog(self, user: str):
-        try:
-            return self.service.open_log_file(f"{self.root.path}/{user}")
-        except Exception:
-            return self.root.create_sublog(user)
+        return self.root.open_or_create_sublog(user)
 
     def _record(self, user: str, event: str, host: str) -> None:
         record = LoginRecord(

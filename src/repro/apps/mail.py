@@ -70,10 +70,7 @@ class MailSystem:
 
     def __init__(self, service: LogService, root_path: str = "/mail"):
         self.service = service
-        try:
-            self.root = service.open_log_file(root_path)
-        except Exception:
-            self.root = service.create_log_file(root_path)
+        self.root = service.open_or_create_log_file(root_path)
 
     def create_mailbox(self, user: str):
         return self.root.create_sublog(user)

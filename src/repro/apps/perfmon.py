@@ -68,21 +68,13 @@ class MetricsLog:
 
     def __init__(self, service: LogService, root_path: str = "/metrics"):
         self.service = service
-        try:
-            self.root = service.open_log_file(root_path)
-        except Exception:
-            self.root = service.create_log_file(root_path)
+        self.root = service.open_or_create_log_file(root_path)
         self._sublogs: dict[str, object] = {}
         self._last_ingested: dict[str, float] = {}
 
     def _sublog(self, metric: str):
         if metric not in self._sublogs:
-            try:
-                self._sublogs[metric] = self.service.open_log_file(
-                    f"{self.root.path}/{metric}"
-                )
-            except Exception:
-                self._sublogs[metric] = self.root.create_sublog(metric)
+            self._sublogs[metric] = self.root.open_or_create_sublog(metric)
         return self._sublogs[metric]
 
     # -- recording -------------------------------------------------------------

@@ -78,10 +78,7 @@ class TransactionManager:
 
     def __init__(self, service: LogService, path: str = "/txnlog"):
         self.service = service
-        try:
-            self.log = service.open_log_file(path)
-        except Exception:
-            self.log = service.create_log_file(path)
+        self.log = service.open_or_create_log_file(path)
         #: The "current state ... merely a cached summary" (Section 1).
         self.data: dict[bytes, bytes] = {}
         self._next_txn_id = 1

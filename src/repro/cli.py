@@ -27,6 +27,7 @@ import os
 import sys
 
 from repro.core import LogService
+from repro.core.catalog import UnknownLogFile
 from repro.core.fsck import check_service
 from repro.worm.filebacked import FileBackedNvram, FileBackedWormDevice
 
@@ -382,19 +383,36 @@ def _persisted_traces(store: str):
     by trace id (each group in append order)."""
     from repro.obs.tracelog import decode_span
 
-    service = _mount(store, read_only=True)
-    try:
-        log = service.open_log_file("/traces")
-    except Exception:
+    roots = _read_back(_mount(store, read_only=True), "/traces", decode_span)
+    if roots is None:
         raise SystemExit(
             "error: this store has no /traces log "
             "(run `clio append --trace` to record one)"
         )
     grouped: dict = {}
-    for entry in log.entries():
-        root = decode_span(entry.data)
+    for root in roots:
         grouped.setdefault(root.trace_id or "", []).append(root)
     return grouped
+
+
+def _read_back(service, path: str, decode) -> list | None:
+    """Decode every record of the log file ``path`` with ``decode``.
+
+    None when the store has no such log; a record ``decode`` rejects is an
+    error naming the log, never an empty or truncated history."""
+    try:
+        log = service.open_log_file(path)
+    except UnknownLogFile:
+        return None
+    records = []
+    for index, entry in enumerate(log.entries()):
+        try:
+            records.append(decode(entry.data))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SystemExit(
+                f"error: undecodable record #{index} in {path}: {exc!r}"
+            ) from None
+    return records
 
 
 def _cmd_trace_show(args) -> int:
@@ -466,7 +484,7 @@ def _cmd_events(args) -> int:
     Mounting itself emits the recovery-phase events, so even a bare
     ``clio events STORE`` shows the store's latest recovery as a timeline.
     """
-    from repro.obs.events import EventLog, format_event
+    from repro.obs.events import Event, format_event
 
     service = _mount(args.store, read_only=True, observability=True)
     if args.read:
@@ -474,9 +492,8 @@ def _cmd_events(args) -> int:
             for _ in service.read_entries(path):
                 pass
     if args.persisted:
-        try:
-            events = EventLog(service).read_back()
-        except Exception:
+        events = _read_back(service, "/events", Event.decode)
+        if events is None:
             print("no persisted /events log in this store", file=sys.stderr)
             return 1
     else:
@@ -526,6 +543,7 @@ def _cmd_health(args) -> int:
     threshold/ratio rules (see ``repro.obs.slo.parse_rule`` for syntax).
     """
     from repro.obs.slo import (
+        Alert,
         AlertLog,
         SloEngine,
         default_ruleset,
@@ -547,13 +565,7 @@ def _cmd_health(args) -> int:
     engine = SloEngine(service, rules=rules, alert_log=alert_log)
     fired = engine.evaluate()
     if args.show_log:
-        try:
-            from repro.obs.slo import AlertLog as _AlertLog
-
-            history = _AlertLog(service).read_back()
-        except Exception:
-            history = []
-        for alert in history:
+        for alert in _read_back(service, "/alerts", Alert.decode) or []:
             print(f"(history) {format_alert(alert)}")
     if not fired:
         print(f"healthy: {len(rules)} rules evaluated, 0 alerts")
@@ -620,29 +632,26 @@ def _cmd_perf_run(args) -> int:
     return 0
 
 
-def _cmd_perf_report(args) -> int:
+def _load_json(path: str):
     import json
 
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _cmd_perf_report(args) -> int:
     from repro.obs import perfbench
 
-    with open(args.file) as handle:
-        record = json.load(handle)
-    print(perfbench.format_report(record))
+    print(perfbench.format_report(_load_json(args.file)))
     return 0
 
 
 def _cmd_perf_compare(args) -> int:
     """The CI gate: non-zero exit on a deterministic count regression."""
-    import json
-
     from repro.obs import perfbench
 
-    with open(args.current) as handle:
-        current = json.load(handle)
-    with open(args.baseline) as handle:
-        baseline = json.load(handle)
     failures, advisories = perfbench.compare_reports(
-        current, baseline, threshold=args.threshold
+        _load_json(args.current), _load_json(args.baseline), threshold=args.threshold
     )
     for line in advisories:
         print(f"advisory: {line}")
@@ -703,41 +712,37 @@ def _cmd_campaign_run(args) -> int:
     return 0
 
 
-def _cmd_campaign_report(args) -> int:
-    import json
+def _diff_artifacts(args, diff, same: str, kind: str) -> int:
+    """Print ``diff(OLD, NEW)`` over two JSON artifacts line by line; exit 2
+    when any line is a regression (starts with ``!``)."""
+    changes = diff(_load_json(args.old), _load_json(args.new))
+    if not changes:
+        print(same)
+        return 0
+    for line in changes:
+        print(line)
+    regressions = [line for line in changes if line.startswith("!")]
+    if regressions:
+        print(f"{len(regressions)} {kind} regression(s)", file=sys.stderr)
+        return 2
+    return 0
 
+
+def _cmd_campaign_report(args) -> int:
     from repro.obs import campaign
 
-    with open(args.file) as handle:
-        record = json.load(handle)
-    print(campaign.format_report(record))
+    print(campaign.format_report(_load_json(args.file)))
     return 0
 
 
 def _cmd_campaign_diff(args) -> int:
     """Compare two campaign artifacts; exit 2 on a detection regression
     (a lost channel or a coverage drop)."""
-    import json
-
     from repro.obs import campaign
 
-    with open(args.old) as handle:
-        old = json.load(handle)
-    with open(args.new) as handle:
-        new = json.load(handle)
-    changes = campaign.diff_reports(old, new)
-    if not changes:
-        print("no channel-level differences")
-        return 0
-    for line in changes:
-        print(line)
-    regressions = [line for line in changes if line.startswith("!")]
-    if regressions:
-        print(
-            f"{len(regressions)} detection regression(s)", file=sys.stderr
-        )
-        return 2
-    return 0
+    return _diff_artifacts(
+        args, campaign.diff_reports, "no channel-level differences", "detection"
+    )
 
 
 def _cmd_workload_run(args) -> int:
@@ -778,38 +783,20 @@ def _cmd_workload_run(args) -> int:
 
 
 def _cmd_workload_report(args) -> int:
-    import json
-
     from repro.obs import workload
 
-    with open(args.file) as handle:
-        record = json.load(handle)
-    print(workload.format_run(record))
+    print(workload.format_run(_load_json(args.file)))
     return 0
 
 
 def _cmd_workload_diff(args) -> int:
     """Compare two workload-run artifacts; exit 2 on a phase-level
     regression (changed coverage, ops, sim time, or trace digest)."""
-    import json
-
     from repro.obs import workload
 
-    with open(args.old) as handle:
-        old = json.load(handle)
-    with open(args.new) as handle:
-        new = json.load(handle)
-    changes = workload.diff_runs(old, new)
-    if not changes:
-        print("no phase-level differences")
-        return 0
-    for line in changes:
-        print(line)
-    regressions = [line for line in changes if line.startswith("!")]
-    if regressions:
-        print(f"{len(regressions)} phase regression(s)", file=sys.stderr)
-        return 2
-    return 0
+    return _diff_artifacts(
+        args, workload.diff_runs, "no phase-level differences", "phase"
+    )
 
 
 def _cmd_workload_index(args) -> int:

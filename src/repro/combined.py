@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.cache import BlockCache
 from repro.core import LogService
+from repro.core.catalog import UnknownLogFile
 from repro.core.logfile import LogFile
 from repro.fs import FileSystem, LogFileUio, RegularFileUio, UioObject
 from repro.vsystem.clock import SimClock
@@ -93,7 +94,7 @@ class CombinedServer:
             try:
                 self.logs.open_log_file(self._log_subpath(path))
                 return True
-            except Exception:
+            except UnknownLogFile:
                 return False
         return self.fs.exists(path)
 

@@ -36,6 +36,7 @@ from repro.core.naming import split_path, validate_component
 
 __all__ = [
     "CatalogError",
+    "UnknownLogFile",
     "CatalogOp",
     "CatalogRecord",
     "LogFileInfo",
@@ -45,6 +46,10 @@ __all__ = [
 
 class CatalogError(Exception):
     """A catalog invariant was violated (duplicate name, unknown id, ...)."""
+
+
+class UnknownLogFile(CatalogError):
+    """No log file has this path or id: the one answer to a failed lookup."""
 
 
 class CatalogOp(enum.IntEnum):
@@ -174,7 +179,7 @@ class Catalog:
         try:
             return self._by_id[logfile_id]
         except KeyError:
-            raise CatalogError(f"unknown log file id {logfile_id}") from None
+            raise UnknownLogFile(f"unknown log file id {logfile_id}") from None
 
     def children(self, logfile_id: int) -> dict[str, int]:
         """name → id of the sublogs directly under ``logfile_id``."""
@@ -187,7 +192,7 @@ class Catalog:
         for component in split_path(path):
             children = self._children.get(current, {})
             if component not in children:
-                raise CatalogError(f"no log file {component!r} under {current}")
+                raise UnknownLogFile(f"no log file {component!r} under {current}")
             current = children[component]
         return current
 
@@ -211,6 +216,16 @@ class Catalog:
             if info.is_root:
                 return chain
             info = self.info(info.parent_id)
+
+    def members_of(self, logfile_id: int) -> list[int]:
+        """The log files an entry of ``logfile_id`` belongs to: its
+        :meth:`ancestors`, or just ``[logfile_id]`` when the catalog does
+        not know the id (an entry read back before, or without, its
+        CREATE record)."""
+        try:
+            return self.ancestors(logfile_id)
+        except UnknownLogFile:
+            return [logfile_id]
 
     def all_ids(self) -> list[int]:
         return sorted(self._by_id)

@@ -82,10 +82,7 @@ def _block_entry_info(reader, volume_index, block, catalog):
             continue
         if first_ts == "unset":
             first_ts = header.timestamp
-        try:
-            chain = catalog.ancestors(header.logfile_id)
-        except Exception:
-            chain = [header.logfile_id]
+        chain = catalog.members_of(header.logfile_id)
         members.update(a for a in chain if a not in UNTRACKED_IDS)
     if first_ts == "unset":
         first_ts = None
@@ -256,12 +253,10 @@ def check_service(service, max_blocks: int | None = None) -> FsckReport:
                 if starts:
                     header = reader.entry_header_at(parsed, starts[-1])
                     if header is not None:
-                        try:
-                            chain = catalog.ancestors(header.logfile_id)
-                        except Exception:
-                            chain = [header.logfile_id]
                         owner = {
-                            a for a in chain if a not in UNTRACKED_IDS
+                            a
+                            for a in catalog.members_of(header.logfile_id)
+                            if a not in UNTRACKED_IDS
                         }
                 # else: pure middle block — owner unchanged.
             else:

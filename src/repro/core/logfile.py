@@ -117,10 +117,16 @@ class LogFile:
 
     # -- hierarchy ---------------------------------------------------------------
 
+    def _child_path(self, name: str) -> str:
+        return self.path.rstrip("/") + "/" + name
+
     def create_sublog(self, name: str, permissions: int = 0o644) -> "LogFile":
         """Create a sublog under this log file (Section 2.1)."""
-        child_path = self.path.rstrip("/") + "/" + name
-        return self._service.create_log_file(child_path, permissions)
+        return self._service.create_log_file(self._child_path(name), permissions)
+
+    def open_or_create_sublog(self, name: str) -> "LogFile":
+        """Open the sublog ``name``, creating it if it does not exist."""
+        return self._service.open_or_create_log_file(self._child_path(name))
 
     def sublogs(self) -> dict[str, "LogFile"]:
         return self._service.list_dir(self.path)

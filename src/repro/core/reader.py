@@ -432,10 +432,7 @@ class LogReader:
     def _tracked_ancestors(self, logfile_id: int) -> list[int]:
         from repro.core.entrymap import UNTRACKED_IDS
 
-        try:
-            chain = self.store.catalog.ancestors(logfile_id)
-        except Exception:
-            chain = [logfile_id]
+        chain = self.store.catalog.members_of(logfile_id)
         return [a for a in chain if a not in UNTRACKED_IDS]
 
     def _continuation_owner(self, volume_index: int, local_block: int) -> int | None:
@@ -631,10 +628,7 @@ class LogReader:
             # "The entire sequence of log entries that have been written to
             # a volume can also be considered a log file" (Section 2).
             return True
-        try:
-            return wanted in self.store.catalog.ancestors(entry_logfile_id)
-        except Exception:
-            return False
+        return wanted in self.store.catalog.members_of(entry_logfile_id)
 
     def iter_entries(
         self,

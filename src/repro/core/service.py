@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cache import BlockCache
-from repro.core.catalog import Catalog
+from repro.core.catalog import Catalog, UnknownLogFile
 from repro.core.entrymap import EntrymapState
 from repro.core.ids import (
     CORRUPTED_BLOCK_ID,
@@ -466,6 +466,17 @@ class LogService:
         self._check_alive()
         logfile_id = self.store.catalog.resolve(path)
         return LogFile(self, logfile_id, self.store.catalog.path_of(logfile_id))
+
+    def open_or_create_log_file(self, path: str) -> LogFile:
+        """Open ``path``, creating it first if no such log file exists.
+
+        Only :class:`~repro.core.catalog.UnknownLogFile` leads to the
+        create; every other failure (crashed or read-only service, bad
+        name, missing parent) propagates."""
+        try:
+            return self.open_log_file(path)
+        except UnknownLogFile:
+            return self.create_log_file(path)
 
     def open_root(self) -> LogFile:
         """The volume sequence log file: every entry ever written."""

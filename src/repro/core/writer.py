@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.core.block import BlockBuilder
 from repro.core.catalog import CatalogRecord
-from repro.core.entry import LogEntry
+from repro.core.entry import CorruptRecord, LogEntry
 from repro.core.entrymap import UNTRACKED_IDS, EntrymapState
 from repro.core.ids import CATALOG_ID, ENTRYMAP_ID, EntryId, EntryLocation
 from repro.core.store import LogStore
@@ -397,12 +397,9 @@ class TailWriter:
         for slot in parsed.entry_start_slots():
             try:
                 header = decode_record(parsed.fragments[slot]).entry
-            except Exception:
+            except CorruptRecord:
                 continue
-            try:
-                chain = self.store.catalog.ancestors(header.logfile_id)
-            except Exception:
-                chain = [header.logfile_id]
+            chain = self.store.catalog.members_of(header.logfile_id)
             members.update(a for a in chain if a not in UNTRACKED_IDS)
         if members:
             self._state.note_membership(local, members)

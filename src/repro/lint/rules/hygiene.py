@@ -5,7 +5,10 @@ Durability failures in this codebase are exceptions —
 ``VolumeFullError`` — and a handler that catches everything and does
 nothing can absorb one silently, turning a Section-2.3 recovery scenario
 into quiet data loss.  The exception rule bans bare ``except:`` outright
-and bans catch-all handlers whose body is only ``pass``.
+and bans catch-all handlers whose body is only ``pass``.  In the storage
+layers (``core``, ``worm``, ``cache``) it goes further: a catch-all
+handler there must end by raising, so a fallback can only ever name the
+exception it expects.
 
 The export rule keeps every module's ``__all__`` truthful: present,
 statically evaluable, complete (every public def/class listed), and free
@@ -22,6 +25,9 @@ from repro.lint.base import FileContext, Finding, Rule
 __all__ = ["ExceptionHygieneRule", "MutableDefaultRule", "ExportHygieneRule"]
 
 _CATCH_ALL = ("Exception", "BaseException")
+
+#: Packages where every catch-all handler must re-raise.
+_STRICT_PACKAGES = ("core", "worm", "cache")
 
 
 def _is_catch_all(expr: ast.expr | None) -> bool:
@@ -48,13 +54,15 @@ def _swallows(body: list[ast.stmt]) -> bool:
 class ExceptionHygieneRule(Rule):
     name = "bare-except"
     description = (
-        "No bare 'except:' and no 'except Exception: pass' — catch-alls "
-        "that swallow can absorb WormError/durability failures silently."
+        "No bare 'except:' and no catch-all that swallows: 'except "
+        "Exception: pass' anywhere, and in core/worm/cache any "
+        "'except Exception' handler that does not re-raise."
     )
     paper_section = "§2.3 (failure recovery)"
 
     def check(self, ctx: FileContext) -> list[Finding]:
         findings: list[Finding] = []
+        strict = any(ctx.in_package(package) for package in _STRICT_PACKAGES)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
@@ -76,6 +84,21 @@ class ExceptionHygieneRule(Rule):
                         f"'except {caught}: pass' silently swallows storage "
                         f"and durability failures; narrow the exception or "
                         f"handle it",
+                    )
+                )
+            elif (
+                strict
+                and _is_catch_all(node.type)
+                and not isinstance(node.body[-1], ast.Raise)
+            ):
+                caught = ast.unparse(node.type)
+                findings.append(
+                    ctx.finding(
+                        self.name,
+                        node,
+                        f"'except {caught}' in a storage layer must re-raise: "
+                        f"a fallback here turns a durability failure into a "
+                        f"wrong answer; catch the exception you expect",
                     )
                 )
         return findings

@@ -43,6 +43,7 @@ from repro.obs.injectors import (
     CampaignError,
     counters_fingerprint,
     make_injection,
+    make_service,
 )
 
 __all__ = [
@@ -271,13 +272,6 @@ class CampaignReport:
 # --------------------------------------------------------------------- #
 
 
-def _make_service(**overrides):
-    from repro.core.service import LogService
-
-    overrides.setdefault("observability", True)
-    return LogService.create(**overrides)
-
-
 #: Idle-drive sizing per fault class (the campaign's short canonical
 #: drives; the under-load harness sizes its own replays).
 _IDLE_SIZES = {
@@ -296,7 +290,7 @@ def run_spec(spec: FaultSpec) -> FaultOutcome:
     drive with the inject hook scheduled at ``spec.at_us``, then settle
     and probe the four channels."""
     injection = make_injection(spec)
-    service = _make_service(**injection.service_overrides())
+    service = make_service(**injection.service_overrides())
     if spec.workload == "filetrace":
         from repro.workloads.filetrace import FileTrace
 
@@ -346,16 +340,16 @@ def _control_check(workload: str) -> dict:
     if workload == "login_log":
         from repro.workloads.login_log import LoginLogWorkload
 
-        plain = _make_service()
+        plain = make_service()
         LoginLogWorkload().drive(plain, CONTROL_LOGIN_RECORDS)
-        stepped = _make_service()
+        stepped = make_service()
         drive_login_log(stepped, CONTROL_LOGIN_RECORDS)
     elif workload == "filetrace":
         from repro.workloads.filetrace import FileTrace
 
-        plain = _make_service()
+        plain = make_service()
         replay_filetrace(plain, FileTrace(file_count=CONTROL_FILETRACE_FILES))
-        stepped = _make_service()
+        stepped = make_service()
         drive_filetrace(stepped, FileTrace(file_count=CONTROL_FILETRACE_FILES))
     else:
         raise ValueError(f"unknown workload {workload!r}")

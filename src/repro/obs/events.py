@@ -210,10 +210,7 @@ class EventLog:
 
     def __init__(self, service: "LogService", path: str = "/events") -> None:
         self.service = service
-        try:
-            self.log: "LogFile" = service.open_log_file(path)
-        except Exception:
-            self.log = service.create_log_file(path)
+        self.log: "LogFile" = service.open_or_create_log_file(path)
         self._persisted_seq = -1
 
     def persist(

@@ -58,6 +58,7 @@ __all__ = [
     "counters_fingerprint",
     "event_evidence",
     "make_injection",
+    "make_service",
     "recovery_evidence",
     "trace_evidence",
 ]
@@ -568,6 +569,15 @@ _INJECTION_CLASSES: dict[str, type[Injection]] = {
     "crash_mid_batch": CrashMidBatchInjection,
     "volume_exhaustion": VolumeExhaustionInjection,
 }
+
+
+def make_service(**overrides: Any) -> Any:
+    """A fresh in-memory service for one drive or replay, observability on
+    unless ``overrides`` (usually an injection's) say otherwise."""
+    from repro.core.service import LogService
+
+    overrides.setdefault("observability", True)
+    return LogService.create(**overrides)
 
 
 def make_injection(spec: FaultSpec) -> Injection:

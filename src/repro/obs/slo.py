@@ -506,10 +506,7 @@ class AlertLog:
 
     def __init__(self, service: "LogService", path: str = "/alerts") -> None:
         self.service = service
-        try:
-            self.log: "LogFile" = service.open_log_file(path)
-        except Exception:
-            self.log = service.create_log_file(path)
+        self.log: "LogFile" = service.open_or_create_log_file(path)
 
     def persist(self, alerts: list[Alert]) -> int:
         journal = self.service.store.journal

@@ -77,10 +77,7 @@ class TraceLog:
         self.window = window
         self.head_keep = head_keep
         self.slowest_keep = slowest_keep
-        try:
-            self.log: "LogFile" = service.open_log_file(path)
-        except Exception:
-            self.log = service.create_log_file(path)
+        self.log: "LogFile" = service.open_or_create_log_file(path)
         self._window_roots: list[Span] = []
         self._pending: list[Span] = []
         self._kept_trace_ids: set[str] = set()

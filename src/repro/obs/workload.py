@@ -40,7 +40,12 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.injectors import Injection, counters_fingerprint, make_injection
+from repro.obs.injectors import (
+    Injection,
+    counters_fingerprint,
+    make_injection,
+    make_service,
+)
 from repro.obs.profile import CostBreakdown
 from repro.obs.slo import AlertLog, SloEngine, default_ruleset
 
@@ -279,13 +284,6 @@ def get_profile(name: str) -> Profile:
 # --------------------------------------------------------------------- #
 
 
-def _make_service(**overrides: Any) -> Any:
-    from repro.core.service import LogService
-
-    overrides.setdefault("observability", True)
-    return LogService.create(**overrides)
-
-
 def _metric(service: Any, name: str) -> Any:
     registry = service.metrics
     return None if registry is None else registry.get(name)
@@ -364,10 +362,7 @@ class _ReplayContext:
     def logfile(self, path: str) -> Any:
         handle = self.handles.get(path)
         if handle is None:
-            try:
-                handle = self.service.open_log_file(path)
-            except Exception:
-                handle = self.service.create_log_file(path)
+            handle = self.service.open_or_create_log_file(path)
             self.handles[path] = handle
         return handle
 
@@ -375,11 +370,7 @@ class _ReplayContext:
         key = f"{root_path}/{name}"
         handle = self.handles.get(key)
         if handle is None:
-            root = self.logfile(root_path)
-            try:
-                handle = self.service.open_log_file(key)
-            except Exception:
-                handle = root.create_sublog(name)
+            handle = self.logfile(root_path).open_or_create_sublog(name)
             self.handles[key] = handle
         return handle
 
@@ -528,7 +519,7 @@ def _registry_picks(service: Any) -> dict[str, float]:
     for name in _REGISTRY_PICKS:
         try:
             picks[name] = metric_value(service, name)
-        except Exception:
+        except ValueError:
             picks[name] = -1.0
     return picks
 
@@ -649,7 +640,7 @@ def _under_load_outcome(profile: Profile, spec: "FaultSpec") -> Any:
     from repro.obs.campaign import FaultOutcome
 
     injection = make_injection(spec)
-    service = _make_service(**injection.service_overrides())
+    service = make_service(**injection.service_overrides())
     replay = _replay(
         service,
         profile,
@@ -727,7 +718,7 @@ def run_workload(profile_name: str, menu: str | None = None) -> WorkloadRun:
     it through the four obs channels, and (optionally) re-prove the
     ``menu`` fault campaign under that load."""
     profile = get_profile(profile_name)
-    service = _make_service()
+    service = make_service()
     alert_log = AlertLog(service)
     engine = SloEngine(service, rules=default_ruleset(), alert_log=alert_log)
     replay = _replay(service, profile, engine=engine, collect=True)

@@ -9,8 +9,10 @@ from repro.core.catalog import (
     CatalogError,
     CatalogOp,
     CatalogRecord,
+    UnknownLogFile,
 )
 from repro.core.ids import FIRST_CLIENT_ID, VOLUME_SEQUENCE_ID
+from repro.core.service import LogService, ReadOnlyService, ServiceCrashed
 from repro.core.naming import (
     InvalidName,
     join_path,
@@ -222,3 +224,100 @@ class TestCatalog:
         catalog.apply(record)
         with pytest.raises(CatalogError):
             catalog.apply(record)
+
+
+class TestUnknownLogFile:
+    """A failed name or id lookup has one typed answer, and the service's
+    open-or-create turns only that answer into a create."""
+
+    def test_unknown_path_raises_unknown_log_file(self):
+        catalog = Catalog()
+        with pytest.raises(UnknownLogFile, match="'mail'"):
+            catalog.resolve("/mail")
+
+    def test_unknown_id_raises_unknown_log_file(self):
+        catalog = Catalog()
+        with pytest.raises(UnknownLogFile, match="unknown log file id 99"):
+            catalog.info(99)
+        with pytest.raises(UnknownLogFile):
+            catalog.ancestors(99)
+
+    def test_existing_catalog_error_handlers_still_catch_it(self):
+        catalog = Catalog()
+        for lookup in (lambda: catalog.resolve("/nope"), lambda: catalog.info(99)):
+            try:
+                lookup()
+            except CatalogError as exc:
+                assert isinstance(exc, UnknownLogFile)
+            else:  # pragma: no cover - the lookup must fail
+                pytest.fail("lookup of a missing log file succeeded")
+
+    def test_members_of_falls_back_to_the_id_itself(self):
+        catalog = Catalog()
+        catalog.apply(catalog.make_create_record(8, "mail", 0, 0o644, 1))
+        catalog.apply(catalog.make_create_record(9, "smith", 8, 0o644, 2))
+        assert catalog.members_of(9) == [9, 8, VOLUME_SEQUENCE_ID]
+        assert catalog.members_of(77) == [77]
+
+    def test_open_or_create_creates_once_then_reopens(self):
+        service = LogService.create()
+        first = service.open_or_create_log_file("/audit")
+        next_id = service.store.catalog.next_id
+        again = service.open_or_create_log_file("/audit")
+        assert again.logfile_id == first.logfile_id
+        assert again.path == first.path == "/audit"
+        assert service.store.catalog.next_id == next_id
+
+    def test_open_or_create_sublog_creates_once_then_reopens(self):
+        service = LogService.create()
+        root = service.open_or_create_log_file("/metrics")
+        first = root.open_or_create_sublog("cpu")
+        next_id = service.store.catalog.next_id
+        again = root.open_or_create_sublog("cpu")
+        assert first.path == again.path == "/metrics/cpu"
+        assert again.logfile_id == first.logfile_id
+        assert service.store.catalog.next_id == next_id
+
+    def test_read_only_service_propagates_without_allocating(self):
+        service = LogService.create()
+        existing = service.create_log_file("/audit")
+        remains = service.shutdown()
+        mounted, _ = LogService.mount(
+            remains.devices, remains.nvram, read_only=True
+        )
+        next_id = mounted.store.catalog.next_id
+        assert (
+            mounted.open_or_create_log_file("/audit").logfile_id
+            == existing.logfile_id
+        )
+        with pytest.raises(ReadOnlyService):
+            mounted.open_or_create_log_file("/missing")
+        assert mounted.store.catalog.next_id == next_id
+
+    @pytest.mark.parametrize(
+        "break_service, path, error",
+        [
+            (lambda service: service.crash(), "/missing", ServiceCrashed),
+            (lambda service: None, "relative", InvalidName),
+            (lambda service: None, "/a/../b", InvalidName),
+        ],
+    )
+    def test_other_failures_propagate_without_a_create(
+        self, monkeypatch, break_service, path, error
+    ):
+        service = LogService.create()
+        break_service(service)
+        attempts = []
+        monkeypatch.setattr(
+            service, "create_log_file", lambda *a, **k: attempts.append(a)
+        )
+        with pytest.raises(error):
+            service.open_or_create_log_file(path)
+        assert attempts == []
+
+    def test_missing_parent_is_not_created_implicitly(self):
+        service = LogService.create()
+        with pytest.raises(UnknownLogFile):
+            service.open_or_create_log_file("/no/such/parent")
+        with pytest.raises(UnknownLogFile):
+            service.open_log_file("/no")

@@ -273,6 +273,92 @@ class TestExceptionHygiene:
         )
         assert findings == []
 
+    FALLBACK = """\
+        def ancestors_or_self(catalog, logfile_id):
+            try:
+                return catalog.ancestors(logfile_id)
+            except Exception:
+                return [logfile_id]
+        """
+
+    def test_storage_layer_catch_all_fallback_is_flagged(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            {
+                "core/reader.py": self.FALLBACK,
+                "worm/device.py": """\
+                    def probe(device):
+                        try:
+                            return device.query_tail()
+                        except (OSError, BaseException) as exc:
+                            device.note(exc)
+                            return None
+                    """,
+                "cache/block_cache.py": """\
+                    def get(cache, key):
+                        try:
+                            return cache.lookup(key)
+                        except Exception:
+                            if cache.strict:
+                                raise
+                            cache.evict(key)
+                        return None
+                    """,
+            },
+            "bare-except",
+        )
+        assert sorted(f.path.split("/")[-2] for f in findings) == [
+            "cache",
+            "core",
+            "worm",
+        ]
+        assert all("must re-raise" in f.message for f in findings)
+
+    def test_storage_layer_handler_that_reraises_or_is_narrow_is_clean(
+        self, tmp_path
+    ):
+        findings = lint(
+            tmp_path,
+            {
+                "core/reader.py": """\
+                    class UnknownLogFile(Exception):
+                        pass
+
+
+                    def ancestors_or_self(catalog, logfile_id):
+                        try:
+                            return catalog.ancestors(logfile_id)
+                        except UnknownLogFile:
+                            return [logfile_id]
+
+
+                    def burn(device, image, log):
+                        try:
+                            device.append_block(image)
+                        except Exception as exc:
+                            log.append(exc)
+                            raise
+                    """,
+                "cache/block_cache.py": """\
+                    def get(cache, key):
+                        try:
+                            return cache.lookup(key)
+                        except BaseException as exc:
+                            raise KeyError(key) from exc
+                    """,
+            },
+            "bare-except",
+        )
+        assert findings == []
+
+    def test_catch_all_fallback_outside_storage_layers_is_clean(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            {"obs/report.py": self.FALLBACK, "apps/mail.py": self.FALLBACK},
+            "bare-except",
+        )
+        assert findings == []
+
 
 class TestMutableDefault:
     def test_list_default_is_flagged(self, tmp_path):
