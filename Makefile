@@ -48,7 +48,7 @@ bench-fastpath:
 bench-tables:
 	CLIO_BENCH_RECORD_DIR=. $(PYTHON) -m pytest benchmarks/ -s -q
 
-# The wall-clock harness (real appends/sec, scan MB/s, recovery blocks/s):
+# The `clio perf` sim-count harness (every *_wallclock bench runs too):
 # writes BENCH_wallclock.json; `clio perf run` is the CLI equivalent.
 bench-wallclock:
 	CLIO_BENCH_RECORD_DIR=. PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -k wallclock -s -q

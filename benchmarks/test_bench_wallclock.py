@@ -1,37 +1,33 @@
-"""Wall-clock bench: real appends/sec, locates/sec, scan MB/s, recovery
-blocks/sec on a file-backed store.
+"""The ``clio perf`` sim-count bench on a file-backed store.
 
-Every other bench in this suite measures *simulated* quantities; this one
-measures the implementation itself, through the ``clio perf`` harness
-(:mod:`repro.obs.perfbench`).  Four acceptance criteria ride on it:
+It drives the :mod:`repro.obs.perfbench` workload — single and batched
+appends, locates, a sequential scan, recovery mounts — and checks:
 
-* all four rate families are present, each the median of N recorded
-  repetitions, with the deterministic sim counts beside the rates;
-* the per-Section-3-component wall attribution explains >= 95% of the
-  harness's own end-to-end wall measurement;
-* the sim-side counters (and the whole metrics registry) are
-  byte-identical with and without wall instrumentation — wall profiling
-  must never perturb simulated results;
+* all five workload families are present, each with its deterministic
+  sim counts;
+* the metrics-registry snapshot rides along in the record;
+* two runs encode byte-identically, and the fingerprint holds counts
+  only;
 * the record lands in BENCH_wallclock.json when CLIO_BENCH_RECORD_DIR is
-  set, registry snapshot included, alongside the sim benches' records.
+  set, alongside the sim benches' records.
+
+Real (wall-clock) time is measured by ``clio_bench`` (see
+``clio_bench/README.md``), not here.
 """
 
 import pytest
 
 from repro.obs.perfbench import (
-    PROFILES,
-    check_determinism,
     counts_fingerprint,
     maybe_record,
     report_to_dict,
     run_profile,
 )
-from repro.obs.wallclock import PerfWallClock
 
 from _support import print_table
 
 PROFILE = "full"
-RATE_FAMILIES = {
+FAMILIES = {
     "append_single": "appends/s",
     "append_batched": "appends/s",
     "locate": "locates/s",
@@ -43,43 +39,29 @@ RATE_FAMILIES = {
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("wallclock")
-    report = run_profile(PROFILE, str(workdir), PerfWallClock())
-    record = report_to_dict(report)
-    maybe_record(record)
+    report = run_profile(PROFILE, str(workdir))
+    maybe_record(report)
     print_table(
-        "Wall-clock rates (median of %d)" % PROFILES[PROFILE].reps,
-        ["measurement", "median", "unit", "wall ms"],
+        f"clio perf counts ({PROFILE} profile)",
+        ["measurement", "counts"],
         [
-            [m.name, f"{m.median_rate:,.1f}", m.unit, f"{m.wall_ns / 1e6:.2f}"]
+            [
+                m.name,
+                "  ".join(f"{k}={v:g}" for k, v in sorted(m.counts.items())),
+            ]
             for m in report.measurements
         ],
     )
     return report
 
 
-def test_all_rate_families_present_with_median_of_n(report):
+def test_all_families_present_with_counts(report):
     by_name = {m.name: m for m in report.measurements}
-    assert set(by_name) == set(RATE_FAMILIES)
-    for name, unit in RATE_FAMILIES.items():
+    assert set(by_name) == set(FAMILIES)
+    for name, unit in FAMILIES.items():
         measurement = by_name[name]
         assert measurement.unit == unit
-        assert len(measurement.rep_rates) == PROFILES[PROFILE].reps
-        assert measurement.median_rate > 0.0
         assert measurement.counts, f"{name} recorded no sim counts"
-
-
-def test_wall_attribution_covers_harness_time(report):
-    assert report.harness_wall_ns > 0
-    assert report.coverage >= 0.95, (
-        f"wall attribution explains only {report.coverage:.1%} of the "
-        f"harness's end-to-end wall time"
-    )
-    # Section-3 components (not just span buckets) must appear: the
-    # dual-clock tracer attributes real time to the same component
-    # vocabulary the sim cost model uses.
-    assert any(
-        not key.startswith("span:") for key in report.attribution_ns
-    )
 
 
 def test_registry_snapshot_rides_along(report):
@@ -89,9 +71,8 @@ def test_registry_snapshot_rides_along(report):
     assert "clio_append_latency_ms" in names
 
 
-def test_sim_counters_identical_with_and_without_wall_clock(tmp_path):
-    ok, detail = check_determinism("smoke", str(tmp_path), PerfWallClock())
-    assert ok, detail
+def test_two_runs_encode_byte_identically(report, tmp_path):
+    assert run_profile(PROFILE, str(tmp_path)).encode() == report.encode()
 
 
 def test_counts_fingerprint_excludes_wall_fields(report):

@@ -40,9 +40,12 @@ PYTHONPATH=src python -m repro workload index benchmarks/runs --verify \
     > /dev/null
 echo "workload ok: gates pass, artifact deterministic, catalog verified"
 
-echo "== perf smoke (wall-clock harness + determinism + baseline gate) =="
+echo "== perf smoke (sim-count harness + determinism + baseline gate) =="
 PYTHONPATH=src python -m repro perf run --profile smoke \
-    --check-determinism --out /tmp/clio_perf_smoke.json
+    --check-determinism --out /tmp/clio_perf_smoke.json > /dev/null
+PYTHONPATH=src python -m repro perf run --profile smoke \
+    --out /tmp/clio_perf_smoke_b.json > /dev/null
+cmp /tmp/clio_perf_smoke.json /tmp/clio_perf_smoke_b.json
 PYTHONPATH=src python -m repro perf compare /tmp/clio_perf_smoke.json \
     --baseline benchmarks/baselines/wallclock_baseline.json
 

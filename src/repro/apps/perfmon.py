@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.core import LogService
+from repro.core.catalog import UnknownLogFile
 
 __all__ = ["Sample", "MetricsLog", "SeriesStats"]
 
@@ -72,9 +73,20 @@ class MetricsLog:
         self._sublogs: dict[str, object] = {}
         self._last_ingested: dict[str, float] = {}
 
-    def _sublog(self, metric: str):
+    def _sublog(self, metric: str, *, create: bool):
+        """The metric's sublog; ``None`` for an unknown metric unless
+        ``create`` (queries never write the store, recording does)."""
         if metric not in self._sublogs:
-            self._sublogs[metric] = self.root.open_or_create_sublog(metric)
+            if create:
+                sublog = self.root.open_or_create_sublog(metric)
+            else:
+                try:
+                    sublog = self.service.open_log_file(
+                        f"{self.root.path.rstrip('/')}/{metric}"
+                    )
+                except UnknownLogFile:
+                    return None
+            self._sublogs[metric] = sublog
         return self._sublogs[metric]
 
     # -- recording -------------------------------------------------------------
@@ -85,7 +97,9 @@ class MetricsLog:
         sample = Sample(
             metric=metric, value=value, observed_us=self.service.clock.now_us
         )
-        self._sublog(metric).append(sample.encode(), timestamped=False)
+        self._sublog(metric, create=True).append(
+            sample.encode(), timestamped=False
+        )
 
     def checkpoint(self) -> None:
         """Force the buffered tail — e.g. at the end of a reporting period."""
@@ -133,11 +147,11 @@ class MetricsLog:
     # -- querying ------------------------------------------------------------------
 
     def samples(self, metric: str, since: int | None = None) -> list[Sample]:
+        sublog = self._sublog(metric, create=False)
+        if sublog is None:
+            return []
         kwargs = {"since": since} if since is not None else {}
-        return [
-            Sample.decode(entry.data)
-            for entry in self._sublog(metric).entries(**kwargs)
-        ]
+        return [Sample.decode(entry.data) for entry in sublog.entries(**kwargs)]
 
     def all_samples(self, since: int | None = None) -> list[Sample]:
         """Every metric's samples, interleaved in recording order — served

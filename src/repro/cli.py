@@ -583,50 +583,49 @@ def _cmd_lint(args) -> int:
     return lint_run(args)
 
 
+def _run_checked(run, check: bool):
+    """Run a deterministic harness: ``run()`` returns a result whose
+    ``encode()`` is its artifact.  With ``check``, run it a second time and
+    byte-compare the artifacts.  Returns ``(result, artifact)``, or
+    ``None`` (after reporting) when the two runs differ."""
+    result = run()
+    artifact = result.encode()
+    if check:
+        if run().encode() != artifact:
+            print(
+                "determinism: ARTIFACTS DIFFER between two identical runs",
+                file=sys.stderr,
+            )
+            return None
+        print("determinism: artifact byte-identical across two runs")
+    return result, artifact
+
+
 def _cmd_perf_run(args) -> int:
-    """Run the wall-clock harness (see docs/PERFORMANCE.md for the
-    methodology).  Real time comes from one PerfWallClock constructed
-    here and injected down — the purity rule's whole point."""
-    import json
+    """Run the sim-count harness on a throwaway store (see
+    docs/PERFORMANCE.md); exit 2 when --check-determinism finds two runs
+    that differ."""
     import tempfile
 
     from repro.obs import perfbench
-    from repro.obs.wallclock import PerfWallClock
 
     if args.profile not in perfbench.PROFILES:
         print(f"error: unknown profile {args.profile!r}", file=sys.stderr)
         return 1
-    with tempfile.TemporaryDirectory(prefix="clio-perf-") as workdir:
-        if args.check_determinism:
-            ok, detail = perfbench.check_determinism(
-                args.profile, workdir, PerfWallClock()
-            )
-            print(f"determinism: {detail}")
-            if not ok:
-                return 2
-            report = perfbench.run_profile(
-                args.profile,
-                os.path.join(workdir, "report"),
-                PerfWallClock(),
-            )
-        else:
-            report = perfbench.run_profile(
-                args.profile, workdir, PerfWallClock()
-            )
-    record = perfbench.report_to_dict(report)
-    print(perfbench.format_report(record))
-    if report.coverage < 0.95:
-        print(
-            f"warning: wall attribution covers only "
-            f"{report.coverage:.1%} of harness wall time (< 95%)",
-            file=sys.stderr,
-        )
+
+    def run():
+        with tempfile.TemporaryDirectory(prefix="clio-perf-") as workdir:
+            return perfbench.run_profile(args.profile, workdir)
+
+    checked = _run_checked(run, args.check_determinism)
+    if checked is None:
+        return 2
+    report, _ = checked
+    print(perfbench.format_report(perfbench.report_to_dict(report)))
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
+        perfbench.write_record(report, args.out)
         print(f"(wrote {args.out})")
-    recorded = perfbench.maybe_record(record)
+    recorded = perfbench.maybe_record(report)
     if recorded:
         print(f"(recorded {recorded})")
     return 0
@@ -677,20 +676,15 @@ def _cmd_campaign_run(args) -> int:
     from repro.obs import campaign
 
     try:
-        report = campaign.run_campaign(args.menu)
+        checked = _run_checked(
+            lambda: campaign.run_campaign(args.menu), args.check_determinism
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    artifact = report.encode()
-    if args.check_determinism:
-        second = campaign.run_campaign(args.menu).encode()
-        if artifact != second:
-            print(
-                "determinism: ARTIFACTS DIFFER between two identical runs",
-                file=sys.stderr,
-            )
-            return 2
-        print("determinism: artifact byte-identical across two runs")
+    if checked is None:
+        return 2
+    report, artifact = checked
     print(campaign.format_report(report.as_dict()))
     if args.out:
         with open(args.out, "w") as handle:
@@ -753,20 +747,16 @@ def _cmd_workload_run(args) -> int:
 
     menu = args.campaign or None
     try:
-        run = workload.run_workload(args.profile, menu=menu)
+        checked = _run_checked(
+            lambda: workload.run_workload(args.profile, menu=menu),
+            args.check_determinism,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    artifact = run.encode()
-    if args.check_determinism:
-        second = workload.run_workload(args.profile, menu=menu).encode()
-        if artifact != second:
-            print(
-                "determinism: ARTIFACTS DIFFER between two identical runs",
-                file=sys.stderr,
-            )
-            return 2
-        print("determinism: artifact byte-identical across two runs")
+    if checked is None:
+        return 2
+    run, artifact = checked
     print(workload.format_run(run.as_dict()))
     if args.out:
         with open(args.out, "w") as handle:
@@ -1069,12 +1059,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser(
         "perf",
-        help="wall-clock benchmarks: run, report, compare (CI gate)",
+        help="sim-count harness: run, report, compare (CI gate)",
     )
     perf_commands = p.add_subparsers(dest="perf_command", required=True)
 
     pp = perf_commands.add_parser(
-        "run", help="run the wall-clock harness on a throwaway store"
+        "run", help="run the sim-count harness on a throwaway store"
     )
     pp.add_argument(
         "--profile",
@@ -1087,8 +1077,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument(
         "--check-determinism",
         action="store_true",
-        help="first prove sim counters are byte-identical with and "
-        "without wall instrumentation (exit 2 if not)",
+        help="run the profile twice and require byte-identical records "
+        "(exit 2 if not)",
     )
     pp.set_defaults(handler=_cmd_perf_run)
 
@@ -1101,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = perf_commands.add_parser(
         "compare",
         help="gate a perf record against a baseline: non-zero exit on "
-        "deterministic count regressions; rate changes are advisory",
+        "count regressions; count improvements are advisory",
     )
     pp.add_argument("current")
     pp.add_argument("--baseline", required=True)

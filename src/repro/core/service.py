@@ -20,7 +20,6 @@ Lifecycle:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.cache import BlockCache
 from repro.core.catalog import Catalog, UnknownLogFile
@@ -50,9 +49,6 @@ from repro.worm.device import WormDevice
 from repro.worm.errors import StorageError
 from repro.worm.nvram import NvramTail
 from repro.worm.volume import LogVolume, VolumeSequence
-
-if TYPE_CHECKING:
-    from repro.obs.wallclock import WallClock
 
 __all__ = ["LogService", "CrashRemains", "ReadOnlyService", "ServiceCrashed"]
 
@@ -201,7 +197,6 @@ class LogService:
         read_only: bool = False,
         observability: bool = False,
         readahead_blocks: int = 0,
-        wall_clock: "WallClock | None" = None,
     ) -> tuple["LogService", RecoveryReport]:
         """Mount surviving media after a crash (or cold start) and run the
         three-step recovery of Section 2.3.1 / 3.4.
@@ -210,9 +205,7 @@ class LogService:
         shelf): every mutating operation raises :class:`ReadOnlyService`,
         and corruption found while reading is reported but not repaired.
         ``observability=True`` enables metrics and tracing *before* the
-        recovery pass runs, so the mount itself produces a span tree;
-        ``wall_clock`` additionally makes those recovery spans dual-clock
-        (the ``clio perf`` harness measures recovery blocks/sec with it).
+        recovery pass runs, so the mount itself produces a span tree.
         """
         if not devices:
             raise ValueError("mount requires at least one device")
@@ -252,7 +245,7 @@ class LogService:
         service = cls(store, writer)
         service._read_only = read_only
         if observability:
-            service.enable_observability(wall_clock=wall_clock)
+            service.enable_observability()
         report = service._recover()
         return service, report
 
@@ -845,7 +838,6 @@ class LogService:
         tracing: bool = True,
         registry=None,
         events: bool = True,
-        wall_clock: "WallClock | None" = None,
     ):
         """Attach a metrics registry (and, by default, a span tracer and an
         event journal).
@@ -853,10 +845,7 @@ class LogService:
         Idempotent; safe to call on a running service — the registry's
         samplers read the live stats objects, so counters reflect the full
         history, while histograms, traces and events start from this call.
-        ``wall_clock`` (a :class:`~repro.obs.wallclock.WallClock`) makes the
-        tracer dual-clock: spans carry real nanoseconds beside simulated
-        time.  Simulated results are unaffected — the clock is only read
-        into span annotations.  Returns the registry.
+        Returns the registry.
         """
         from repro.obs.events import EventJournal
         from repro.obs.registry import MetricsRegistry
@@ -868,7 +857,7 @@ class LogService:
             store.metrics = registry if registry is not None else MetricsRegistry()
             store.instruments = wire_service(self)
         if tracing and not store.tracer.enabled:
-            store.tracer = SpanTracer(store.clock, wall_clock=wall_clock)
+            store.tracer = SpanTracer(store.clock)
         if events and not store.journal.enabled:  # clio-lint: disable=atomicity — admin-time toggle
             journal = EventJournal(store.clock)
             store.journal = journal

@@ -6,9 +6,8 @@ a deterministic function of the workload.  One ``time.time()`` or unseeded
 ``random.random()`` anywhere in the service stack silently turns those
 reproducible numbers into scheduling noise.  This rule forbids wall-clock
 reads and unseeded randomness everywhere except the simulated clock itself
-(``vsystem/clock.py``) and the sanctioned wall-clock boundary
-(``obs/wallclock.py``), where the ``clio perf`` harness gets its real
-time — injected from there, never read ambiently.
+(``vsystem/clock.py``).  Real time is measured from outside the program,
+by ``clio_bench``.
 """
 
 from __future__ import annotations
@@ -44,23 +43,22 @@ _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 #: Modules whose import alone signals nondeterminism.
 _FORBIDDEN_MODULES = frozenset({"secrets"})
 
-#: The modules allowed to touch the host clock: the simulated clock's own
-#: definition, and the wall-clock boundary the perf harness injects from.
-_EXEMPT_SUFFIXES = ("vsystem/clock.py", "obs/wallclock.py")
+#: The one module allowed to touch the host clock: the simulated clock's
+#: own definition.
+_EXEMPT_SUFFIX = "vsystem/clock.py"
 
 
 class SimTimePurityRule(Rule):
     name = "sim-time"
     description = (
         "No wall-clock reads (time.time, datetime.now, ...) and no unseeded "
-        "randomness outside vsystem/clock.py and obs/wallclock.py (the "
-        "injected wall-clock boundary); determinism is what makes the "
-        "Fig-3/Fig-4 counts reproducible."
+        "randomness outside vsystem/clock.py; determinism is what makes "
+        "the Fig-3/Fig-4 counts reproducible."
     )
     paper_section = "§3 (measured cost constants), §2.1 (timestamps)"
 
     def check(self, ctx: FileContext) -> list[Finding]:
-        if ctx.relpath.endswith(_EXEMPT_SUFFIXES):
+        if ctx.relpath.endswith(_EXEMPT_SUFFIX):
             return []
         findings: list[Finding] = []
         time_aliases: set[str] = set()

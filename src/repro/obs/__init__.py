@@ -23,12 +23,10 @@ this package exposes those counts from a *live* service uniformly:
   ``/traces`` sublog with deterministic head/tail sampling.
 * :mod:`repro.obs.critical_path` — per-trace critical paths and
   cost-component breakdowns over the persisted trace log.
-* :mod:`repro.obs.wallclock` — the sanctioned (lint-allowlisted) wall
-  clock boundary: ``WallClock`` implementations injected into tracers
-  and the perf harness, never read ambiently.
-* :mod:`repro.obs.perfbench` — the ``clio perf`` wall-clock benchmark
-  harness (deterministic workload, median-of-N rates, per-component
-  wall attribution, CI regression gate).
+* :mod:`repro.obs.perfbench` — the ``clio perf`` sim-count harness: a
+  fixed file-backed workload whose deterministic counts are gated
+  against a checked-in baseline.  Real (wall-clock) time is measured
+  outside the program, by ``clio_bench``.
 
 Enable on a service with ``service.enable_observability()`` (or pass
 ``observability=True`` to ``LogService.create``/``mount``); disabled, the
@@ -64,13 +62,9 @@ from repro.obs.export import (
 from repro.obs.profile import (
     CostBreakdown,
     format_profile,
-    format_wall_attribution,
     profile_roots,
     profile_span,
-    total_wall_ns,
-    wall_attribution,
 )
-from repro.obs.wallclock import FakeWallClock, PerfWallClock, WallClock
 from repro.obs.registry import (
     COUNT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -138,9 +132,6 @@ __all__ = [
     "openmetrics_text",
     "parse_openmetrics_text",
     "json_snapshot",
-    "WallClock",
-    "PerfWallClock",
-    "FakeWallClock",
     "Instruments",
     "wire_service",
     "Event",
@@ -161,7 +152,4 @@ __all__ = [
     "profile_span",
     "profile_roots",
     "format_profile",
-    "wall_attribution",
-    "total_wall_ns",
-    "format_wall_attribution",
 ]

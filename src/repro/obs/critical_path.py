@@ -63,9 +63,6 @@ class PathStep:
     self_us: int
     #: The costliest charged component of this span, or "" if uncharged.
     dominant_component: str
-    #: Wall nanoseconds for dual-clock spans; None on single-clock traces.
-    wall_duration_ns: int | None = None
-    wall_self_ns: int | None = None
 
 
 def critical_path(roots: Iterable[Span]) -> list[PathStep]:
@@ -95,8 +92,6 @@ def critical_path(roots: Iterable[Span]) -> list[PathStep]:
                     duration_us=node.duration_us,
                     self_us=node.duration_us - children_us,
                     dominant_component=dominant,
-                    wall_duration_ns=node.wall_duration_ns,
-                    wall_self_ns=node.wall_self_ns,
                 )
             )
             if not node.children:
@@ -121,9 +116,6 @@ class TraceSummary:
     idle_us: int
     components: tuple[tuple[str, float], ...]  # sorted by ms, descending
     error: bool
-    #: Real elapsed nanoseconds across the roots (dual-clock traces from a
-    #: wall-clocked tracer); None when the trace is sim-time only.
-    wall_ns: int | None = None
 
     @property
     def attributed_ms(self) -> float:
@@ -150,12 +142,6 @@ def summarize_trace(trace_id: str, roots: list[Span]) -> TraceSummary:
     components = tuple(
         sorted(breakdown.items(), key=lambda item: (-item[1], item[0]))
     )
-    wall_durations = [r.wall_duration_ns for r in ordered]
-    wall_ns = (
-        sum(d for d in wall_durations if d is not None)
-        if any(d is not None for d in wall_durations)
-        else None
-    )
     return TraceSummary(
         trace_id=trace_id,
         root_names=tuple(r.name for r in ordered),
@@ -166,7 +152,6 @@ def summarize_trace(trace_id: str, roots: list[Span]) -> TraceSummary:
         idle_us=(end - start) - busy,
         components=components,
         error=any("error" in s.attributes for r in ordered for s in r.walk()),
-        wall_ns=wall_ns,
     )
 
 
@@ -207,15 +192,10 @@ def format_trace_summary(summary: TraceSummary) -> str:
         f"{component}={ms:.3f}ms" for component, ms in summary.components[:3]
     )
     flags = " ERROR" if summary.error else ""
-    wall = (
-        f"wall={summary.wall_ns / 1e6:.3f}ms "
-        if summary.wall_ns is not None
-        else ""
-    )
     return (
         f"{summary.trace_id}  roots={len(summary.root_names)} "
         f"spans={summary.span_count} busy={summary.duration_us / 1000.0:.3f}ms "
-        f"idle={summary.idle_us / 1000.0:.3f}ms  {wall}{parts}{flags}"
+        f"idle={summary.idle_us / 1000.0:.3f}ms  {parts}{flags}"
     )
 
 
@@ -231,15 +211,10 @@ def format_critical_path(summary: TraceSummary, steps: list[PathStep]) -> str:
         dominant = (
             f" <- {step.dominant_component}" if step.dominant_component else ""
         )
-        wall = (
-            f" wall={step.wall_duration_ns / 1e6:.3f}ms"
-            if step.wall_duration_ns is not None
-            else ""
-        )
         lines.append(
             f"{'  ' * step.depth}{step.name}  "
             f"[{step.start_us}us +{step.duration_us}us "
-            f"self={step.self_us}us]{wall}{dominant}"
+            f"self={step.self_us}us]{dominant}"
         )
     lines.append("components:")
     for component, ms in summary.components:

@@ -1,50 +1,27 @@
-"""The wall-clock performance harness behind ``clio perf``.
+"""The sim-count harness behind ``clio perf``.
 
-Everything else in the reproduction measures *simulated* time — Section
-3's cost constants on a :class:`~repro.vsystem.clock.SimClock`.  This
-module measures the other axis the ROADMAP asks for: how fast the
-implementation itself runs on real hardware.  It drives a file-backed
-store (:mod:`repro.worm.filebacked`) through a fixed, fully deterministic
-workload and reports four rate families:
+It drives a file-backed store (:mod:`repro.worm.filebacked`) through a
+fixed workload — single appends, server-side batched ``append_many``,
+entrymap locates, a sequential scan, and repeated read-only recovery
+mounts — and records the deterministic sim-side counts of each family
+(entries, device writes, entrymap entries examined, blocks parsed, blocks
+recovered, ...) plus the service's metrics-registry snapshot.  Every
+number in a record is a pure function of the profile, so two runs encode
+byte-identically and :func:`compare_reports` can gate a change on them
+hermetically: a count that grows beyond the threshold is an algorithmic
+regression on any machine.
 
-* appends/sec — single :meth:`~repro.core.service.LogService.append`
-  calls and server-side batched ``append_many``;
-* locates/sec — entrymap searches from cycled positions (an entry is
-  appended between repetitions so the locate memo cannot short-circuit
-  the search being measured);
-* sequential scan MB/s — iterating every entry of the built log file;
-* recovery blocks-scanned/sec — repeated read-only mounts of the image
-  files, timing Section 2.3.1's three-step recovery.
-
-Methodology: every rate is measured over ``warmup`` discarded repetitions
-plus ``reps`` recorded ones, and the headline number is the **median** of
-the recorded repetitions.  Wall time comes from an injected
-:class:`~repro.obs.wallclock.WallClock` — never read ambiently, so the
-sim-time purity lint still holds — and the same injected clock feeds the
-service's dual-clock :class:`~repro.obs.tracing.SpanTracer`, giving a
-per-Section-3-component wall attribution (:func:`repro.obs.profile.wall_attribution`)
-that must cover >= 95% of the harness's own end-to-end measurement.
-
-The two-clock invariant: the *rates* depend on the machine, but every
-sim-side **count** in the report (entries, blocks written, entrymap
-entries examined, blocks recovered, the whole metrics registry) is a
-deterministic function of the profile.  :func:`check_determinism` proves
-it by running the identical workload with and without the wall clock and
-comparing the counts byte for byte; the CI perf gate
-(:func:`compare_reports`) hard-fails only on count regressions and treats
-rate changes as advisory.
+Real (wall-clock) time is not measured here.  ``clio_bench`` times the
+real operation path from outside the program, with medians and spread;
+see ``clio_bench/README.md``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
-
-from repro.obs.profile import wall_attribution
-from repro.obs.tracing import Span, SpanTracer
-from repro.obs.wallclock import WallClock
 
 if TYPE_CHECKING:
     from repro.core.service import LogService
@@ -55,7 +32,6 @@ __all__ = [
     "Measurement",
     "PerfReport",
     "run_profile",
-    "check_determinism",
     "counts_fingerprint",
     "report_to_dict",
     "write_record",
@@ -70,9 +46,9 @@ class PerfProfile:
     """One named workload size for the harness."""
 
     name: str
-    #: Recorded repetitions per measurement (the median is the headline).
+    #: Each family runs ``warmup + reps`` repetitions; the recovery
+    #: family counts only the last ``reps`` of its mounts.
     reps: int
-    #: Discarded warmup repetitions per measurement.
     warmup: int
     #: Single appends per repetition.
     entries: int
@@ -89,8 +65,8 @@ class PerfProfile:
     capacity_blocks: int
 
 
-#: ``smoke`` is sized for CI (a couple of seconds end to end); ``full``
-#: is what the checked-in ``BENCH_wallclock.json`` records.
+#: ``smoke`` is sized for CI (well under a second); ``full`` is what the
+#: checked-in ``BENCH_wallclock.json`` records.
 PROFILES: dict[str, PerfProfile] = {
     "smoke": PerfProfile(
         name="smoke",
@@ -119,130 +95,39 @@ PROFILES: dict[str, PerfProfile] = {
 }
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
-    """One rate family's result: recorded repetitions plus the sim counts."""
+    """One workload family's deterministic sim-side counts."""
 
     name: str
+    #: The family's rate unit: a label only, no rate is measured here.
     unit: str
-    #: One rate per recorded repetition, in ``unit``.
-    rep_rates: list[float] = field(default_factory=list)
-    #: Wall nanoseconds across the recorded repetitions.
-    wall_ns: int = 0
-    #: Deterministic sim-side counters over the recorded repetitions.
-    counts: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def median_rate(self) -> float:
-        return _median(self.rep_rates)
+    counts: dict[str, float]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PerfReport:
     """Everything one harness run produced."""
 
     profile: str
     measurements: list[Measurement]
-    #: Wall nanoseconds per Section-3 component (``span:<name>`` buckets
-    #: hold uncharged span self-time).
-    attribution_ns: dict[str, int]
-    #: The harness's own end-to-end wall measurement (all phases, warmup
-    #: included) — the denominator of :attr:`coverage`.
-    harness_wall_ns: int
-    #: Metrics-registry snapshot of the workload service (sim-side only).
+    #: Metrics-registry snapshot of the workload service.
     metrics: dict[str, Any]
 
-    @property
-    def coverage(self) -> float:
-        """Fraction of harness wall time the span attribution explains."""
-        if not self.harness_wall_ns:
-            return 1.0
-        return sum(self.attribution_ns.values()) / self.harness_wall_ns
-
-
-def _median(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _rate(ops: float, elapsed_ns: int) -> float:
-    return ops / (elapsed_ns / 1e9) if elapsed_ns > 0 else 0.0
+    def encode(self) -> str:
+        """The record as canonical JSON (byte-identical across runs)."""
+        return json.dumps(
+            report_to_dict(self), indent=2, sort_keys=True, default=str
+        )
 
 
 def _device_writes(service: "LogService") -> int:
     return sum(device.stats.writes for device in service.devices)
 
 
-def _device_reads(service: "LogService") -> int:
-    return sum(device.stats.reads for device in service.devices)
-
-
-class _Harness:
-    """Shared state for one :func:`run_profile` run."""
-
-    def __init__(
-        self, profile: PerfProfile, workdir: str, wall: WallClock | None
-    ) -> None:
-        self.profile = profile
-        self.workdir = workdir
-        self.wall = wall
-        self.harness_wall_ns = 0
-        self.roots: list[Span] = []
-        self.measurements: list[Measurement] = []
-
-    def now(self) -> int:
-        return self.wall.now_ns() if self.wall is not None else 0
-
-    def run_phase(
-        self,
-        service: "LogService",
-        measurement: Measurement,
-        per_rep_ops: float,
-        rep: Callable[[bool], None],
-    ) -> None:
-        """Warmup + recorded repetitions of one callable, bracketed by the
-        injected wall clock.  ``rep(recording)`` runs one repetition inside
-        a harness span (so loop glue and uncharged work stay attributed);
-        warmup wall time still counts toward the harness total, recorded
-        wall time additionally feeds the repetition's rate."""
-        tracer = service.tracer
-        for index in range(self.profile.warmup + self.profile.reps):
-            recording = index >= self.profile.warmup
-            start = self.now()
-            with tracer.span(
-                "perf.phase", phase=measurement.name, recording=recording
-            ):
-                rep(recording)
-            elapsed = self.now() - start
-            self.harness_wall_ns += elapsed
-            if recording:
-                measurement.wall_ns += elapsed
-                measurement.rep_rates.append(_rate(per_rep_ops, elapsed))
-        self.measurements.append(measurement)
-
-    def collect(self, service: "LogService") -> None:
-        """Take the service's finished roots into the attribution forest."""
-        self.roots.extend(service.tracer.recent())
-
-
-def run_profile(
-    profile: PerfProfile | str,
-    workdir: str,
-    wall_clock: WallClock | None,
-) -> PerfReport:
-    """Run the full harness workload in ``workdir`` (which must exist and
-    be empty-ish; image files are created under ``workdir/store``).
-
-    ``wall_clock=None`` runs the byte-identical sim workload with no wall
-    instrumentation at all — every rate comes out 0.0 but every count and
-    the metrics snapshot must match a clocked run exactly; that is the
-    determinism check's control arm.
-    """
+def run_profile(profile: PerfProfile | str, workdir: str) -> PerfReport:
+    """Run the harness workload in ``workdir`` (which must exist and be
+    empty-ish; image files are created under ``workdir/store``)."""
     from repro.core.service import LogService
     from repro.obs.export import json_snapshot
     from repro.worm.filebacked import FileBackedNvram, FileBackedWormDevice
@@ -275,65 +160,63 @@ def run_profile(
         device_factory=factory,
         nvram=FileBackedNvram(nvram_path, capacity_bytes=profile.block_size),
     )
-    service.enable_observability(wall_clock=wall_clock)
-    # The workload produces one root span per phase repetition plus the
-    # per-operation roots; keep them all so the attribution sees the
-    # whole run, not a recency window.
-    service.store.tracer = SpanTracer(
-        service.clock,
-        max_roots=1 << 20,
-        max_children=1 << 14,
-        wall_clock=wall_clock,
-    )
+    service.enable_observability()
 
-    harness = _Harness(profile, workdir, wall_clock)
+    def repeat(phase: str, rep: Callable[[], None]) -> None:
+        # One root span per repetition: the operations inside it share its
+        # trace id, which the latency histograms keep as exemplars — part
+        # of the metrics snapshot, and so of the fingerprint.
+        for _ in range(profile.warmup + profile.reps):
+            with service.tracer.span("perf.phase", phase=phase):
+                rep()
+
     log = service.create_log_file("/perf")
     payload = b"w" * profile.payload_bytes
+    rounds = float(profile.warmup + profile.reps)
 
-    # -- appends/sec, one entry per call ------------------------------- #
-    def append_single(recording: bool) -> None:
+    # -- single appends, one entry per call ----------------------------- #
+    def append_single() -> None:
         for _ in range(profile.entries):
             service.append(log, payload)
 
-    single_m = Measurement(name="append_single", unit="appends/s")
     writes0, sim0 = _device_writes(service), service.now_ms
-    harness.run_phase(service, single_m, float(profile.entries), append_single)
-    single_m.counts = {
-        "entries": float(profile.entries * (profile.warmup + profile.reps)),
-        "device_writes": float(_device_writes(service) - writes0),
-        "sim_ms": service.now_ms - sim0,
-    }
+    repeat("append_single", append_single)
+    single_m = Measurement(
+        "append_single",
+        "appends/s",
+        {
+            "entries": profile.entries * rounds,
+            "device_writes": float(_device_writes(service) - writes0),
+            "sim_ms": service.now_ms - sim0,
+        },
+    )
 
-    # -- appends/sec, server-side batched ------------------------------ #
+    # -- server-side batched appends ------------------------------------ #
     batches = profile.batch_entries // profile.batch_size
     batch = [payload] * profile.batch_size
 
-    def append_batched(recording: bool) -> None:
+    def append_batched() -> None:
         for _ in range(batches):
             service.append_many(log, batch)
 
-    batched_m = Measurement(name="append_batched", unit="appends/s")
     writes0, sim0 = _device_writes(service), service.now_ms
-    harness.run_phase(
-        service,
-        batched_m,
-        float(batches * profile.batch_size),
-        append_batched,
+    repeat("append_batched", append_batched)
+    batched_m = Measurement(
+        "append_batched",
+        "appends/s",
+        {
+            "entries": batches * profile.batch_size * rounds,
+            "device_writes": float(_device_writes(service) - writes0),
+            "sim_ms": service.now_ms - sim0,
+        },
     )
-    batched_m.counts = {
-        "entries": float(
-            batches * profile.batch_size * (profile.warmup + profile.reps)
-        ),
-        "device_writes": float(_device_writes(service) - writes0),
-        "sim_ms": service.now_ms - sim0,
-    }
 
-    # -- locates/sec --------------------------------------------------- #
+    # -- locates -------------------------------------------------------- #
     logfile_id = log.logfile_id
     reader = service.reader
     search0 = reader.stats.snapshot()
 
-    def locate(recording: bool) -> None:
+    def locate() -> None:
         # One tiny append first: it bumps the store's append generation,
         # invalidating the locate memo so every repetition pays the real
         # entrymap search rather than a memo hit.
@@ -343,22 +226,25 @@ def run_profile(
             before = 1 + (extent - 1) * (i + 1) // (profile.locates + 1)
             reader.locate_prev_global(logfile_id, before)
 
-    locate_m = Measurement(name="locate", unit="locates/s")
-    harness.run_phase(service, locate_m, float(profile.locates), locate)
+    repeat("locate", locate)
     search_delta = reader.stats.delta(search0)
-    locate_m.counts = {
-        "locates": float(profile.locates * (profile.warmup + profile.reps)),
-        "entrymap_entries_examined": float(
-            search_delta.search.entrymap_entries_examined
-        ),
-        "block_accesses": float(search_delta.block_accesses),
-    }
+    locate_m = Measurement(
+        "locate",
+        "locates/s",
+        {
+            "locates": profile.locates * rounds,
+            "entrymap_entries_examined": float(
+                search_delta.search.entrymap_entries_examined
+            ),
+            "block_accesses": float(search_delta.block_accesses),
+        },
+    )
 
-    # -- sequential scan MB/s ------------------------------------------ #
+    # -- sequential scan: one extra pass, then the repetitions --------- #
     read0 = reader.stats.snapshot()
     scanned = {"bytes": 0, "entries": 0}
 
-    def scan(recording: bool) -> None:
+    def scan() -> None:
         total = 0
         count = 0
         for entry in service.read_entries(log):
@@ -367,26 +253,20 @@ def run_profile(
         scanned["bytes"] = total
         scanned["entries"] = count
 
-    scan_m = Measurement(name="scan", unit="MB/s")
-    # The per-rep "ops" for a scan is megabytes; the byte count only
-    # becomes known after the first repetition, so seed it with a dry run
-    # before the phase.  Spans are suppressed for it — its wall time is
-    # outside every harness bracket, so letting it produce root spans
-    # would inflate attribution coverage past the denominator.
-    with service.tracer.suppress():
-        scan(False)
-    harness.run_phase(service, scan_m, scanned["bytes"] / 1e6, scan)
+    scan()
+    repeat("scan", scan)
     read_delta = reader.stats.delta(read0)
-    scan_m.counts = {
-        "entries": float(scanned["entries"]),
-        "bytes": float(scanned["bytes"]),
-        "blocks_parsed": float(read_delta.blocks_parsed),
-        "device_reads": float(read_delta.device_reads),
-    }
+    scan_m = Measurement(
+        "scan",
+        "MB/s",
+        {
+            "entries": float(scanned["entries"]),
+            "bytes": float(scanned["bytes"]),
+            "blocks_parsed": float(read_delta.blocks_parsed),
+            "device_reads": float(read_delta.device_reads),
+        },
+    )
 
-    # Sim-side registry snapshot before teardown: byte-identical between
-    # clocked and unclocked runs (the determinism gate compares it).
-    harness.collect(service)
     metrics = json_snapshot(service.metrics)
     remains = service.shutdown()
     for device in remains.devices:
@@ -394,62 +274,46 @@ def run_profile(
         if close is not None:
             close()
 
-    # -- recovery blocks-scanned/sec ----------------------------------- #
-    recovery_m = Measurement(
-        name="recovery", unit="blocks/s"
-    )
-    blocks_total = {"examined": 0, "catalog": 0}
+    # -- recovery: read-only mounts of the image files ------------------ #
+    examined = replayed = 0
     paths = volume_paths()
-
     for index in range(profile.warmup + profile.reps):
-        recording = index >= profile.warmup
         devices = [FileBackedWormDevice.open_path(path) for path in paths]
         nvram = FileBackedNvram(nvram_path, capacity_bytes=profile.block_size)
-        start = harness.now()
         mounted, report = LogService.mount(
-            devices,
-            nvram,
-            read_only=True,
-            observability=True,
-            wall_clock=wall_clock,
+            devices, nvram, read_only=True, observability=True
         )
-        elapsed = harness.now() - start
-        harness.harness_wall_ns += elapsed
-        if recording:
-            recovery_m.wall_ns += elapsed
-            recovery_m.rep_rates.append(
-                _rate(float(report.total_blocks_examined), elapsed)
-            )
-            blocks_total["examined"] += report.total_blocks_examined
-            blocks_total["catalog"] += report.catalog_records_replayed
-        harness.collect(mounted)
+        if index >= profile.warmup:
+            examined += report.total_blocks_examined
+            replayed += report.catalog_records_replayed
         for device in mounted.devices:
             device.close()
-    recovery_m.counts = {
-        "mounts": float(profile.reps),
-        "blocks_examined": float(blocks_total["examined"]),
-        "catalog_records_replayed": float(blocks_total["catalog"]),
-    }
-    harness.measurements.append(recovery_m)
+    recovery_m = Measurement(
+        "recovery",
+        "blocks/s",
+        {
+            "mounts": float(profile.reps),
+            "blocks_examined": float(examined),
+            "catalog_records_replayed": float(replayed),
+        },
+    )
 
     return PerfReport(
         profile=profile.name,
-        measurements=harness.measurements,
-        attribution_ns=wall_attribution(harness.roots),
-        harness_wall_ns=harness.harness_wall_ns,
+        measurements=[single_m, batched_m, locate_m, scan_m, recovery_m],
         metrics=metrics,
     )
 
 
 # ---------------------------------------------------------------------- #
-# Determinism
+# Records, rendering, and the CI gate
 # ---------------------------------------------------------------------- #
 
 
 def counts_fingerprint(report: PerfReport | dict[str, Any]) -> str:
-    """The deterministic face of a report: every sim-side count and the
-    metrics snapshot, canonically serialized.  Wall-dependent fields
-    (rates, nanoseconds, attribution) are excluded by construction."""
+    """Every sim-side count and the metrics snapshot, canonically
+    serialized — also from an older record that carries wall-clock rates
+    beside its counts (the rates are left out)."""
     data = report if isinstance(report, dict) else report_to_dict(report)
     return json.dumps(
         {
@@ -465,110 +329,46 @@ def counts_fingerprint(report: PerfReport | dict[str, Any]) -> str:
     )
 
 
-def check_determinism(
-    profile: PerfProfile | str, workdir: str, wall_clock: WallClock
-) -> tuple[bool, str]:
-    """Run the workload twice — instrumented with ``wall_clock`` and with
-    no wall clock at all — and compare the deterministic fingerprints.
-
-    Returns ``(ok, detail)``; ``detail`` names the first divergence when
-    the fingerprints differ (which would mean wall instrumentation leaked
-    into simulated results — the one thing this architecture forbids)."""
-    clocked = run_profile(
-        profile, os.path.join(workdir, "instrumented"), wall_clock
-    )
-    bare = run_profile(profile, os.path.join(workdir, "bare"), None)
-    fp_clocked = counts_fingerprint(clocked)
-    fp_bare = counts_fingerprint(bare)
-    if fp_clocked == fp_bare:
-        return True, "sim counters byte-identical with and without wall clock"
-    for offset, (a, b) in enumerate(zip(fp_clocked, fp_bare)):
-        if a != b:
-            lo = max(0, offset - 40)
-            return False, (
-                f"fingerprints diverge at byte {offset}: "
-                f"...{fp_clocked[lo:offset + 40]!r} != "
-                f"...{fp_bare[lo:offset + 40]!r}"
-            )
-    return False, "fingerprints differ in length"
-
-
-# ---------------------------------------------------------------------- #
-# Records, rendering, and the CI gate
-# ---------------------------------------------------------------------- #
-
-
 def report_to_dict(report: PerfReport) -> dict[str, Any]:
-    """The ``BENCH_wallclock.json`` record shape (headline + measurements
-    + attribution + registry snapshot)."""
-    headline: dict[str, Any] = {
-        f"{m.name}_median": m.median_rate for m in report.measurements
-    }
-    headline["wall_coverage"] = report.coverage
+    """The ``BENCH_wallclock.json`` record shape."""
     return {
         "bench": "wallclock",
         "profile": report.profile,
-        "headline": headline,
-        "harness_wall_ns": report.harness_wall_ns,
-        "wall_attribution_ns": dict(
-            sorted(report.attribution_ns.items())
-        ),
         "measurements": [
-            {
-                "name": m.name,
-                "unit": m.unit,
-                "rep_rates": m.rep_rates,
-                "median": m.median_rate,
-                "wall_ns": m.wall_ns,
-                "counts": m.counts,
-            }
+            {"name": m.name, "unit": m.unit, "counts": m.counts}
             for m in report.measurements
         ],
         "metrics": report.metrics,
     }
 
 
-def write_record(record: dict[str, Any], directory: str) -> str:
-    """Write the record as ``BENCH_wallclock.json`` in ``directory``."""
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "BENCH_wallclock.json")
+def write_record(report: PerfReport, path: str) -> str:
+    """Write the encoded record to ``path`` (``clio perf run --out`` and
+    :func:`maybe_record` both land here)."""
     with open(path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+        handle.write(report.encode() + "\n")
     return path
 
 
-def maybe_record(record: dict[str, Any]) -> str | None:
-    """Honor ``CLIO_BENCH_RECORD_DIR`` exactly like the sim benches do."""
+def maybe_record(report: PerfReport) -> str | None:
+    """Write ``BENCH_wallclock.json`` into ``CLIO_BENCH_RECORD_DIR``, as
+    the sim benches do; a no-op when the variable is unset."""
     out_dir = os.environ.get("CLIO_BENCH_RECORD_DIR")
     if not out_dir:
         return None
-    return write_record(record, out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    return write_record(report, os.path.join(out_dir, "BENCH_wallclock.json"))
 
 
 def format_report(data: dict[str, Any]) -> str:
-    """Render a record for ``clio perf run`` / ``clio perf report``."""
-    from repro.obs.profile import format_wall_attribution
-
+    """Render a record for ``clio perf run`` / ``clio perf report`` (older
+    records' wall-clock fields are ignored)."""
     lines = [f"profile: {data['profile']}"]
     for m in data["measurements"]:
-        reps = ", ".join(f"{rate:,.0f}" for rate in m["rep_rates"])
-        lines.append(
-            f"{m['name']:<16s} median {m['median']:>14,.1f} {m['unit']:<10s}"
-            f" reps [{reps}]"
-        )
         counts = "  ".join(
             f"{key}={value:g}" for key, value in sorted(m["counts"].items())
         )
-        lines.append(f"{'':<16s} counts: {counts}")
-    attribution = {
-        str(key): int(value)
-        for key, value in data["wall_attribution_ns"].items()
-    }
-    lines.append("wall attribution:")
-    lines.append(
-        format_wall_attribution(attribution, int(data["harness_wall_ns"]))
-    )
+        lines.append(f"{m['name']:<16s} {counts}")
     return "\n".join(lines)
 
 
@@ -579,13 +379,11 @@ def compare_reports(
 ) -> tuple[list[str], list[str]]:
     """The CI regression gate: ``(failures, advisories)``.
 
-    **Failures** (exit non-zero) are reserved for what CI can judge
-    hermetically: the deterministic sim-side counts.  A count that grew
-    more than ``threshold`` over the baseline — e.g. 30% more entrymap
-    entries examined for the same profile — is a real algorithmic
-    regression no matter how fast the runner is.  Wall-clock **rates** are
-    machine-dependent, so rate drops beyond the threshold are advisory
-    only, as are count shrinkages (improvements — update the baseline).
+    A count that grew more than ``threshold`` over the baseline — e.g.
+    30% more entrymap entries examined for the same profile — is a
+    failure; so is any growth from a baseline of zero.  A count that
+    shrank beyond the threshold is an advisory (an improvement: update
+    the baseline).
     """
     failures: list[str] = []
     advisories: list[str] = []
@@ -595,9 +393,9 @@ def compare_reports(
             f"baseline {baseline.get('profile')!r} (not comparable)"
         )
         return failures, advisories
-    base_by_name = {m["name"]: m for m in baseline["measurements"]}
     cur_by_name = {m["name"]: m for m in current["measurements"]}
-    for name, base_m in base_by_name.items():
+    for base_m in baseline["measurements"]:
+        name = base_m["name"]
         cur_m = cur_by_name.get(name)
         if cur_m is None:
             failures.append(f"{name}: measurement missing from current run")
@@ -607,22 +405,14 @@ def compare_reports(
                 failures.append(f"{name}.{key}: count missing from current run")
                 continue
             cur_value = cur_m["counts"][key]
-            if base_value > 0 and cur_value > base_value * (1.0 + threshold):
+            if cur_value > base_value * (1.0 + threshold):
                 failures.append(
                     f"{name}.{key}: count regression {base_value:g} -> "
                     f"{cur_value:g} (> {threshold:.0%} over baseline)"
                 )
-            elif base_value > 0 and cur_value < base_value * (1.0 - threshold):
+            elif cur_value < base_value * (1.0 - threshold):
                 advisories.append(
                     f"{name}.{key}: count shrank {base_value:g} -> "
                     f"{cur_value:g} (improvement? update the baseline)"
                 )
-        base_rate = base_m.get("median", 0.0)
-        cur_rate = cur_m.get("median", 0.0)
-        if base_rate > 0 and cur_rate < base_rate * (1.0 - threshold):
-            advisories.append(
-                f"{name}: rate {cur_rate:,.0f} {cur_m.get('unit', '')} is "
-                f"> {threshold:.0%} below baseline {base_rate:,.0f} "
-                f"(machine-dependent; advisory only)"
-            )
     return failures, advisories

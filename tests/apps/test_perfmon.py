@@ -125,6 +125,34 @@ class TestIngestRegistry:
         assert series.maximum > series.minimum  # the counter moved
 
 
+class TestQueriesDoNotWrite:
+    def test_unknown_metric_query_creates_nothing(self):
+        service, metrics = make_metrics()
+        assert metrics.samples("nope") == []
+        assert metrics.stats("nope") == SeriesStats()
+        assert metrics.metrics() == []
+
+    def test_unknown_metric_query_on_read_only_mount(self):
+        service, metrics = make_metrics()
+        metrics.record("cpu", 1.0)
+        metrics.checkpoint()
+        remains = service.crash()
+        mounted, _ = LogService.mount(
+            remains.devices, remains.nvram, read_only=True
+        )
+        readonly = MetricsLog(mounted)
+        assert readonly.samples("nope") == []
+        assert readonly.stats("nope").count == 0
+        assert [s.value for s in readonly.samples("cpu")] == [1.0]
+
+    def test_record_still_creates(self):
+        service, metrics = make_metrics()
+        metrics.stats("cpu")
+        metrics.record("cpu", 2.0)
+        assert metrics.metrics() == ["cpu"]
+        assert metrics.stats("cpu").count == 1
+
+
 class TestDurability:
     def test_checkpointed_samples_survive_crash(self):
         service, metrics = make_metrics()

@@ -3,6 +3,7 @@ file-backed store directory (the ``make obs-demo`` walkthrough)."""
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -305,17 +306,23 @@ class TestStatsWatchReplay:
 
 class TestPerfCommand:
     RATE_NAMES = ("append_single", "append_batched", "locate", "scan", "recovery")
+    BASELINE = str(
+        Path(__file__).resolve().parents[2]
+        / "benchmarks"
+        / "baselines"
+        / "wallclock_baseline.json"
+    )
 
     def _record(self, capsys, tmp_path):
         out_file = str(tmp_path / "perf.json")
         out = run(capsys, "perf", "run", "--profile", "smoke", "--out", out_file)
         return out, out_file
 
-    def test_run_smoke_prints_rates_and_writes_record(self, tmp_path, capsys):
+    def test_run_smoke_prints_counts_and_writes_record(self, tmp_path, capsys):
         out, out_file = self._record(capsys, tmp_path)
         for name in self.RATE_NAMES:
             assert name in out
-        assert "coverage" in out
+        assert "entrymap_entries_examined=" in out
         with open(out_file) as handle:
             record = json.load(handle)
         assert record["bench"] == "wallclock"
@@ -323,7 +330,44 @@ class TestPerfCommand:
         assert [m["name"] for m in record["measurements"]] == list(
             self.RATE_NAMES
         )
-        assert record["headline"]["wall_coverage"] >= 0.95
+        for m in record["measurements"]:
+            assert set(m) == {"name", "unit", "counts"}
+            assert m["counts"]
+
+    def test_check_determinism_runs_twice_byte_identically(
+        self, tmp_path, capsys
+    ):
+        out_file = str(tmp_path / "perf.json")
+        out = run(
+            capsys, "perf", "run", "--profile", "smoke",
+            "--check-determinism", "--out", out_file,
+        )
+        assert "determinism: artifact byte-identical across two runs" in out
+        again = str(tmp_path / "again.json")
+        run(capsys, "perf", "run", "--profile", "smoke", "--out", again)
+        assert Path(out_file).read_bytes() == Path(again).read_bytes()
+
+    def test_out_and_record_dir_write_the_same_bytes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("CLIO_BENCH_RECORD_DIR", str(tmp_path / "records"))
+        out, out_file = self._record(capsys, tmp_path)
+        recorded = tmp_path / "records" / "BENCH_wallclock.json"
+        assert f"(recorded {recorded})" in out
+        assert recorded.read_bytes() == Path(out_file).read_bytes()
+
+    def test_smoke_counts_pass_the_checked_in_baseline(self, tmp_path, capsys):
+        _, out_file = self._record(capsys, tmp_path)
+        out = run(capsys, "perf", "compare", out_file, "--baseline", self.BASELINE)
+        assert out.startswith("ok: counts within 30% of baseline")
+
+    def test_report_renders_old_shape_baseline(self, capsys):
+        """The baseline predates the count-only record: it still carries
+        rates and wall attribution, which the report ignores."""
+        out = run(capsys, "perf", "report", self.BASELINE)
+        for name in self.RATE_NAMES:
+            assert name in out
+        assert "median" not in out
 
     def test_unknown_profile_exits_one(self, capsys):
         assert main(["perf", "run", "--profile", "nope"]) == 1
@@ -359,6 +403,37 @@ class TestPerfCommand:
         ) == 2
         err = capsys.readouterr().err
         assert "locate.locates" in err
+
+
+@pytest.mark.parametrize(
+    "command, module, harness",
+    [
+        ("perf", "perfbench", "run_profile"),
+        ("campaign", "campaign", "run_campaign"),
+        ("workload", "workload", "run_workload"),
+    ],
+)
+def test_check_determinism_mismatch_exits_two(
+    capsys, monkeypatch, command, module, harness
+):
+    """All three harness commands share one run-twice check: artifacts
+    that differ between the two runs exit 2."""
+    import importlib
+
+    runs = iter(["first", "second"])
+
+    class Drifting:
+        def encode(self):
+            return next(runs)
+
+    monkeypatch.setattr(
+        importlib.import_module(f"repro.obs.{module}"),
+        harness,
+        lambda *args, **kwargs: Drifting(),
+    )
+    capsys.readouterr()
+    assert main([command, "run", "--check-determinism"]) == 2
+    assert "ARTIFACTS DIFFER" in capsys.readouterr().err
 
 
 class TestEventsFilters:

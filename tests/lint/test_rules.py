@@ -73,9 +73,9 @@ class TestSimTimePurity:
         )
         assert findings == []
 
-    def test_wallclock_boundary_module_is_exempt(self, tmp_path):
-        """obs/wallclock.py is the sanctioned wall-clock boundary: the
-        one place outside the sim clock allowed to read real time."""
+    def test_wallclock_module_is_not_exempt(self, tmp_path):
+        """The sim clock is the only exemption: a host-clock read in
+        obs/wallclock.py is flagged like any other."""
         findings = lint(
             tmp_path,
             {"obs/wallclock.py": """\
@@ -88,11 +88,12 @@ class TestSimTimePurity:
                 """},
             "sim-time",
         )
-        assert findings == []
+        assert len(findings) == 1
+        assert "perf_counter_ns" in findings[0].message
 
     def test_perf_counter_outside_the_boundary_is_flagged(self, tmp_path):
-        """The allowlist is exact: the same read anywhere else — even a
-        perf-sounding module right next door — still fires."""
+        """The exemption is exact: the same read anywhere outside the sim
+        clock — even a perf-sounding module — still fires."""
         source = """\
             import time
 
@@ -103,7 +104,7 @@ class TestSimTimePurity:
             {
                 "obs/perfbench.py": source,
                 "core/writer.py": source,
-                "wallclock.py": source,  # bare name: not the obs/ boundary
+                "wallclock.py": source,
             },
             "sim-time",
         )

@@ -1,18 +1,9 @@
-"""Tests for the wall-clock boundary and dual-clock span plumbing:
-deterministic fake clock, wall stamps on spans, attribution math, and —
-crucially — that single-clock spans serialize byte-identically to before
-(the /traces determinism gate depends on it)."""
+"""Spans carry simulated time only: no wall-clock fields on a span and no
+wall keys in its record (the /traces byte-determinism gate serializes
+exactly these dicts).  Real time is measured outside the program, by
+``clio_bench``."""
 
-import json
-
-import pytest
-
-from repro.obs import FakeWallClock, PerfWallClock, Span, SpanTracer
-from repro.obs.profile import (
-    format_wall_attribution,
-    total_wall_ns,
-    wall_attribution,
-)
+from repro.obs import SpanTracer
 
 
 class FakeClock:
@@ -23,72 +14,20 @@ class FakeClock:
         self.now_us += us
 
 
-class TestFakeWallClock:
-    def test_reads_advance_deterministically(self):
-        wall = FakeWallClock(step_ns=1000)
-        assert [wall.now_ns() for _ in range(3)] == [0, 1000, 2000]
-        assert wall.reads == 3
-
-    def test_advance_injects_elapsed_time(self):
-        wall = FakeWallClock(step_ns=10)
-        wall.now_ns()
-        wall.advance(500)
-        assert wall.now_ns() == 510
-
-    def test_advance_rejects_negative(self):
-        with pytest.raises(ValueError):
-            FakeWallClock().advance(-1)
-
-    def test_step_rejects_negative(self):
-        with pytest.raises(ValueError):
-            FakeWallClock(step_ns=-5)
-
-    def test_two_identical_runs_measure_identically(self):
-        def run():
-            wall = FakeWallClock(step_ns=7)
-            start = wall.now_ns()
-            wall.advance(100)
-            return wall.now_ns() - start
-
-        assert run() == run()
-
-
-class TestPerfWallClock:
-    def test_monotonic_nonnegative_intervals(self):
-        wall = PerfWallClock()
-        a = wall.now_ns()
-        b = wall.now_ns()
-        assert isinstance(a, int)
-        assert b >= a
-
-
 class TestDualClockSpans:
-    def test_spans_carry_wall_nanoseconds(self):
-        wall = FakeWallClock(step_ns=1000)
-        tracer = SpanTracer(FakeClock(), wall_clock=wall)
+    def test_without_wall_clock_fields_stay_none(self):
+        """No span has wall fields to fill: the tracer has one clock."""
+        tracer = SpanTracer(FakeClock())
         with tracer.span("append"):
             with tracer.span("device.io"):
                 pass
         root = tracer.last("append")
-        # Reads: root open, child open, child close, root close.
-        assert root.wall_start_ns == 0
-        assert root.wall_end_ns == 3000
-        assert root.wall_duration_ns == 3000
-        (child,) = root.children
-        assert child.wall_duration_ns == 1000
-        assert root.wall_self_ns == 2000
-
-    def test_without_wall_clock_fields_stay_none(self):
-        tracer = SpanTracer(FakeClock())
-        with tracer.span("append"):
-            pass
-        root = tracer.last("append")
-        assert root.wall_start_ns is None
-        assert root.wall_duration_ns is None
-        assert root.wall_self_ns is None
+        for span in root.walk():
+            assert not hasattr(span, "wall_start_ns")
+            assert not hasattr(span, "wall_end_ns")
 
     def test_single_clock_as_dict_is_unchanged(self):
-        """No wall keys may leak into single-clock records: the /traces
+        """No wall keys may leak into span records: the /traces
         byte-determinism CI check serializes exactly these dicts."""
         tracer = SpanTracer(FakeClock())
         with tracer.span("append"):
@@ -96,63 +35,3 @@ class TestDualClockSpans:
         record = tracer.last("append").as_dict()
         assert "wall_start_ns" not in record
         assert "wall_end_ns" not in record
-
-    def test_dual_clock_as_dict_round_trips(self):
-        wall = FakeWallClock(step_ns=500)
-        tracer = SpanTracer(FakeClock(), wall_clock=wall)
-        with tracer.span("read"):
-            pass
-        root = tracer.last("read")
-        restored = Span.from_dict(
-            json.loads(json.dumps(root.as_dict(), sort_keys=True))
-        )
-        assert restored.wall_start_ns == root.wall_start_ns
-        assert restored.wall_end_ns == root.wall_end_ns
-        assert restored.wall_duration_ns == root.wall_duration_ns
-
-
-class TestWallAttribution:
-    def _traced(self, wall):
-        clock = FakeClock()
-        tracer = SpanTracer(clock, wall_clock=wall)
-        with tracer.span("append"):
-            tracer.charge("ipc", 0.75)
-            tracer.charge("timestamp", 0.25)
-            with tracer.span("device.io"):
-                tracer.charge("device", 1.0)
-        return tracer.recent()
-
-    def test_self_time_split_proportionally_to_charges(self):
-        wall = FakeWallClock(step_ns=1000)
-        roots = self._traced(wall)
-        attribution = wall_attribution(roots)
-        # Root self = 2000ns split 3:1 between ipc and timestamp; child
-        # self = 1000ns all to device.
-        assert attribution == {"ipc": 1500, "timestamp": 500, "device": 1000}
-
-    def test_totals_sum_exactly_to_total_wall_ns(self):
-        wall = FakeWallClock(step_ns=977)  # awkward step: exercises remainder
-        roots = self._traced(wall)
-        assert sum(wall_attribution(roots).values()) == total_wall_ns(roots)
-
-    def test_uncharged_spans_bucket_under_span_name(self):
-        wall = FakeWallClock(step_ns=100)
-        tracer = SpanTracer(FakeClock(), wall_clock=wall)
-        with tracer.span("housekeeping"):
-            pass
-        assert wall_attribution(tracer.recent()) == {"span:housekeeping": 100}
-
-    def test_single_clock_forest_attributes_nothing(self):
-        tracer = SpanTracer(FakeClock())
-        with tracer.span("append"):
-            tracer.charge("ipc", 1.0)
-        assert wall_attribution(tracer.recent()) == {}
-        assert total_wall_ns(tracer.recent()) == 0
-
-    def test_format_includes_coverage_line(self):
-        wall = FakeWallClock(step_ns=1000)
-        roots = self._traced(wall)
-        attribution = wall_attribution(roots)
-        text = format_wall_attribution(attribution, harness_total_ns=4000)
-        assert "coverage" in text
-        assert "ipc" in text
