@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint check campaign workload bench bench-fastpath bench-tables bench-wallclock examples fsck-demo obs-demo health-demo outputs clean
+.PHONY: install test lint check campaign workload bench bench-fastpath bench-tables bench-wallclock bench-pairs examples fsck-demo obs-demo health-demo outputs clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -52,6 +52,12 @@ bench-tables:
 # writes BENCH_wallclock.json; `clio perf run` is the CLI equivalent.
 bench-wallclock:
 	CLIO_BENCH_RECORD_DIR=. PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -k wallclock -s -q
+
+# Ten alternating parent/working-tree pairs of clio_bench runs per workload,
+# with a verdict per end-to-end metric (docs/PERFORMANCE.md).  PARENT is a
+# checkout of the parent commit, e.g. from `git worktree add`.
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --parent "$(PARENT)"
 
 examples:
 	@for script in examples/*.py; do \

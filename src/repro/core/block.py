@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
+
+from repro.core.entry import NO_LOGFILE_ID, record_logfile_id
 
 __all__ = [
     "BlockFormatError",
@@ -64,11 +67,18 @@ class ParsedBlock:
     ``cont_in`` is set; the final fragment is the head of an entry finished
     in a later block when ``cont_out`` is set.  Every other fragment is one
     complete record.
+
+    ``logfile_ids[slot]`` is the logfile id in the header of the record
+    starting at ``slot``, read once at parse time so that membership tests
+    need no header decode.  It is :data:`~repro.core.entry.NO_LOGFILE_ID`
+    where that header does not decode, and for the continuation fragment
+    of a ``cont_in`` block, which starts no record.
     """
 
     cont_in: bool
     cont_out: bool
     fragments: tuple[bytes, ...]
+    logfile_ids: array[int]
 
     @property
     def fragment_count(self) -> int:
@@ -111,11 +121,10 @@ def parse_block(data: bytes) -> ParsedBlock:
     if data_len > max_payload or count * _INDEX_ENTRY_SIZE > _payload_region(block_size):
         raise BlockFormatError("block geometry inconsistent (data overlaps index)")
 
-    sizes = []
-    for i in range(count):
-        offset = block_size - _CRC_SIZE - _INDEX_ENTRY_SIZE * (i + 1)
-        (size,) = struct.unpack_from(">H", data, offset)
-        sizes.append(size)
+    # The index runs right-to-left, so one unpack reads s_n .. s_1.
+    sizes = struct.unpack_from(
+        f">{count}H", data, block_size - _CRC_SIZE - _INDEX_ENTRY_SIZE * count
+    )[::-1]
     if sum(sizes) != data_len:
         raise BlockFormatError(
             f"size index sums to {sum(sizes)} but data length is {data_len}"
@@ -133,7 +142,15 @@ def parse_block(data: bytes) -> ParsedBlock:
     for size in sizes:
         fragments.append(bytes(data[position : position + size]))
         position += size
-    return ParsedBlock(cont_in=cont_in, cont_out=cont_out, fragments=tuple(fragments))
+    logfile_ids = array("H", map(record_logfile_id, fragments))
+    if cont_in:
+        logfile_ids[0] = NO_LOGFILE_ID
+    return ParsedBlock(
+        cont_in=cont_in,
+        cont_out=cont_out,
+        fragments=tuple(fragments),
+        logfile_ids=logfile_ids,
+    )
 
 
 class BlockBuilder:

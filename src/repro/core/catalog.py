@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.core.ids import (
     FIRST_CLIENT_ID,
     MAX_LOGFILE_ID,
+    UNTRACKED_IDS,
     VOLUME_SEQUENCE_ID,
     is_reserved_id,
     validate_logfile_id,
@@ -169,6 +170,8 @@ class Catalog:
         self._by_id: dict[int, LogFileInfo] = {VOLUME_SEQUENCE_ID: root}
         self._children: dict[int, dict[str, int]] = {VOLUME_SEQUENCE_ID: {}}
         self._next_id = FIRST_CLIENT_ID
+        #: logfile id -> :meth:`tracked_members`; cleared by :meth:`apply`.
+        self._tracked: dict[int, frozenset[int]] = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -226,6 +229,20 @@ class Catalog:
             return self.ancestors(logfile_id)
         except UnknownLogFile:
             return [logfile_id]
+
+    def tracked_members(self, logfile_id: int) -> frozenset[int]:
+        """The log files whose entrymap bitmaps an entry of ``logfile_id``
+        sets: :meth:`members_of` without the untracked ids.
+
+        Answered from a memo that :meth:`apply`, the catalog's only
+        mutator, clears, so the chain is walked once per id per catalog
+        change instead of once per entry.
+        """
+        tracked = self._tracked.get(logfile_id)
+        if tracked is None:
+            tracked = frozenset(self.members_of(logfile_id)) - UNTRACKED_IDS
+            self._tracked[logfile_id] = tracked
+        return tracked
 
     def all_ids(self) -> list[int]:
         return sorted(self._by_id)
@@ -291,6 +308,7 @@ class Catalog:
         Used both on the live write path (after the record is logged) and
         during recovery replay.
         """
+        self._tracked.clear()
         if record.op is CatalogOp.CREATE:
             self._apply_create(record)
         elif record.op is CatalogOp.SET_ATTRIBUTE:

@@ -28,7 +28,15 @@ from dataclasses import dataclass
 
 from repro.core.ids import validate_logfile_id
 
-__all__ = ["HeaderForm", "LogEntry", "DecodedRecord", "decode_record", "CorruptRecord"]
+__all__ = [
+    "HeaderForm",
+    "LogEntry",
+    "DecodedRecord",
+    "decode_record",
+    "CorruptRecord",
+    "NO_LOGFILE_ID",
+    "record_logfile_id",
+]
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
@@ -52,6 +60,12 @@ _HEADER_SIZES = {
     HeaderForm.TIMESTAMPED: 10,
     HeaderForm.FULL: 14,
 }
+#: Header size by header-version nibble; 0 marks a nibble with no form.
+_SIZE_BY_VERSION = tuple(_HEADER_SIZES.get(version, 0) for version in range(16))
+
+#: What :func:`record_logfile_id` returns for a record that does not decode.
+#: Log file ids are 12 bits wide, so no real id collides with it.
+NO_LOGFILE_ID = 0xFFFF
 
 
 class CorruptRecord(ValueError):
@@ -124,26 +138,35 @@ class DecodedRecord:
     record_size: int
 
 
+def _header_size(record: bytes) -> int:
+    """The size of ``record``'s header, or 0 if it has none: fewer than 2
+    bytes, an unknown header-version nibble, or shorter than its form."""
+    if len(record) < 2:
+        return 0
+    size = _SIZE_BY_VERSION[record[0] >> 4]
+    return size if len(record) >= size else 0
+
+
 def decode_record(record: bytes) -> DecodedRecord:
     """Parse one complete (reassembled, if fragmented) record.
 
     Raises :class:`CorruptRecord` if the header-version nibble is not a
     known form or the record is shorter than its header.
     """
-    if len(record) < 2:
-        raise CorruptRecord(f"record of {len(record)} bytes has no header")
-    (first,) = _U16.unpack_from(record, 0)
-    version = first >> 12
-    logfile_id = first & 0x0FFF
-    try:
+    if not _header_size(record):
+        if len(record) < 2:
+            raise CorruptRecord(f"record of {len(record)} bytes has no header")
+        version = record[0] >> 4
+        if not _SIZE_BY_VERSION[version]:
+            raise CorruptRecord(f"unknown header-version {version}")
         form = HeaderForm(version)
-    except ValueError:
-        raise CorruptRecord(f"unknown header-version {version}") from None
-    if len(record) < form.header_size:
         raise CorruptRecord(
             f"record of {len(record)} bytes shorter than its "
             f"{form.header_size}-byte {form.name} header"
         )
+    (first,) = _U16.unpack_from(record, 0)
+    form = HeaderForm(first >> 12)
+    logfile_id = first & 0x0FFF
     timestamp = None
     client_seq = None
     offset = 2
@@ -160,3 +183,12 @@ def decode_record(record: bytes) -> DecodedRecord:
         client_seq=client_seq,
     )
     return DecodedRecord(entry=entry, record_size=len(record))
+
+
+def record_logfile_id(record: bytes) -> int:
+    """The logfile id :func:`decode_record` would report for ``record``,
+    or :data:`NO_LOGFILE_ID` exactly where it would raise
+    :class:`CorruptRecord`, without building the entry."""
+    if not _header_size(record):
+        return NO_LOGFILE_ID
+    return ((record[0] << 8) | record[1]) & 0x0FFF

@@ -35,21 +35,15 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.core.ids import ENTRYMAP_ID, VOLUME_SEQUENCE_ID
+from repro.core.ids import UNTRACKED_IDS
 
 __all__ = [
     "EntrymapRecord",
     "EntrymapState",
     "EntrymapSearch",
     "SearchStats",
-    "UNTRACKED_IDS",
     "max_level_for",
 ]
-
-#: Log files with no entrymap bitmaps (Section 2.1, footnote 6): the volume
-#: sequence log (it is everything) and the entrymap log itself (it lives at
-#: well-known positions).
-UNTRACKED_IDS = frozenset({VOLUME_SEQUENCE_ID, ENTRYMAP_ID})
 
 _FIXED = struct.Struct(">BHQH")  # level, degree, cover_start, logfile count
 _PAIR_ID = struct.Struct(">H")

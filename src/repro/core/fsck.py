@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.catalog import Catalog, CatalogError, CatalogRecord
-from repro.core.entrymap import UNTRACKED_IDS, EntrymapRecord
+from repro.core.entry import NO_LOGFILE_ID
+from repro.core.entrymap import EntrymapRecord
 from repro.core.ids import (
     CATALOG_ID,
     CORRUPTED_BLOCK_ID,
@@ -74,18 +75,17 @@ def _block_entry_info(reader, volume_index, block, catalog):
     parsed = reader.read_parsed(volume_index, block)
     if parsed is None:
         return None, None, None
+    decodable = [
+        slot
+        for slot in parsed.entry_start_slots()
+        if parsed.logfile_ids[slot] != NO_LOGFILE_ID
+    ]
+    first_ts = None
+    if decodable:
+        first_ts = reader.entry_header_at(parsed, decodable[0]).timestamp
     members: set[int] = set()
-    first_ts = "unset"
-    for slot in parsed.entry_start_slots():
-        header = reader.entry_header_at(parsed, slot)
-        if header is None:
-            continue
-        if first_ts == "unset":
-            first_ts = header.timestamp
-        chain = catalog.members_of(header.logfile_id)
-        members.update(a for a in chain if a not in UNTRACKED_IDS)
-    if first_ts == "unset":
-        first_ts = None
+    for slot in decodable:
+        members |= catalog.tracked_members(parsed.logfile_ids[slot])
     return members, first_ts, parsed
 
 
@@ -168,16 +168,14 @@ def check_service(service, max_blocks: int | None = None) -> FsckReport:
                 previous_ts = first_ts
 
             # Per-entry checks.
-            cont_owner_pending = parsed.cont_in
             for slot in starts:
-                header = reader.entry_header_at(parsed, slot)
-                if header is None:
+                logfile_id = parsed.logfile_ids[slot]
+                if logfile_id == NO_LOGFILE_ID:
                     report.add(
                         "error", volume_index, block, f"undecodable record in slot {slot}"
                     )
                     continue
                 report.entries_checked += 1
-                logfile_id = header.logfile_id
                 known = (
                     logfile_id in (ENTRYMAP_ID, CATALOG_ID, CORRUPTED_BLOCK_ID, 0)
                     or logfile_id in catalog
@@ -192,7 +190,9 @@ def check_service(service, max_blocks: int | None = None) -> FsckReport:
                     )
                 if logfile_id == ENTRYMAP_ID and parsed.is_complete(slot):
                     try:
-                        record = EntrymapRecord.decode(header.data)
+                        record = EntrymapRecord.decode(
+                            reader.entry_header_at(parsed, slot).data
+                        )
                         entrymap_records.append((block, record))
                     except ValueError as exc:
                         report.add(
@@ -228,7 +228,7 @@ def check_service(service, max_blocks: int | None = None) -> FsckReport:
                 if logfile_id == CATALOG_ID and parsed.is_complete(slot):
                     report.catalog_records_checked += 1
                     try:
-                        CatalogRecord.decode(header.data)
+                        CatalogRecord.decode(reader.entry_header_at(parsed, slot).data)
                     except CatalogError as exc:
                         report.add(
                             "error",
@@ -251,13 +251,9 @@ def check_service(service, max_blocks: int | None = None) -> FsckReport:
             starts = parsed.entry_start_slots()
             if parsed.cont_out:
                 if starts:
-                    header = reader.entry_header_at(parsed, starts[-1])
-                    if header is not None:
-                        owner = {
-                            a
-                            for a in catalog.members_of(header.logfile_id)
-                            if a not in UNTRACKED_IDS
-                        }
+                    logfile_id = parsed.logfile_ids[starts[-1]]
+                    if logfile_id != NO_LOGFILE_ID:
+                        owner = catalog.tracked_members(logfile_id)
                 # else: pure middle block — owner unchanged.
             else:
                 owner = None

@@ -31,6 +31,7 @@ __all__ = [
     "CORRUPTED_BLOCK_ID",
     "FIRST_CLIENT_ID",
     "MAX_LOGFILE_ID",
+    "UNTRACKED_IDS",
     "is_reserved_id",
     "validate_logfile_id",
     "EntryId",
@@ -45,6 +46,10 @@ CORRUPTED_BLOCK_ID = 3
 FIRST_CLIENT_ID = 8
 #: The header's logfile-id field is 12 bits wide (Section 2.2).
 MAX_LOGFILE_ID = (1 << 12) - 1
+#: Log files with no entrymap bitmaps (Section 2.1, footnote 6): the volume
+#: sequence log (it is everything) and the entrymap log itself (it lives at
+#: well-known positions).
+UNTRACKED_IDS = frozenset({VOLUME_SEQUENCE_ID, ENTRYMAP_ID})
 
 
 def is_reserved_id(logfile_id: int) -> bool:

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.core.block import BlockFormatError, ParsedBlock, parse_block
-from repro.core.entry import CorruptRecord, LogEntry, decode_record
+from repro.core.entry import NO_LOGFILE_ID, CorruptRecord, LogEntry, decode_record
 from repro.core.entrymap import (
     EntrymapRecord,
     EntrymapSearch,
     SearchStats,
 )
-from repro.core.ids import ENTRYMAP_ID, EntryLocation
+from repro.core.ids import ENTRYMAP_ID, VOLUME_SEQUENCE_ID, EntryLocation
 from repro.core.store import LogStore
 from repro.worm.errors import (
     BlockOutOfRange,
@@ -373,17 +373,14 @@ class LogReader:
     def entry_header_at(
         self, parsed: ParsedBlock, slot: int
     ) -> LogEntry | None:
-        """Decode just the header of the record starting at ``slot``.
+        """Decode the header of the record starting at ``slot``.
 
-        Works even for incomplete fragments (the writer guarantees the full
-        header fits in the first fragment).  Returns None if undecodable.
+        For an incomplete record this decodes the first fragment alone: the
+        writer guarantees the full header fits in it, and the entry's data
+        is then only that fragment's part.  Returns None if undecodable.
         """
-        fragment = parsed.fragments[slot]
         try:
-            if parsed.is_complete(slot):
-                return decode_record(fragment).entry
-            # Incomplete: decode header fields only by padding a copy.
-            return decode_record(fragment).entry
+            return decode_record(parsed.fragments[slot]).entry
         except CorruptRecord:
             return None
 
@@ -400,21 +397,22 @@ class LogReader:
         if parsed is None:
             return None
         members: set[int] = set()
-        catalog = self.store.catalog
+        tracked_members = self.store.catalog.tracked_members
+        logfile_ids = parsed.logfile_ids
         for slot in parsed.entry_start_slots():
-            header = self.entry_header_at(parsed, slot)
-            if header is None:
+            logfile_id = logfile_ids[slot]
+            if logfile_id == NO_LOGFILE_ID:
                 # The writer guarantees every record's header fits in its
                 # first fragment, so an undecodable header means the slot
                 # carries garbage (e.g. a torn write inside a structurally
                 # intact block).  Report it once per location.
                 self._report_corrupt_record(volume_index, local_block, slot)
                 continue
-            members.update(self._tracked_ancestors(header.logfile_id))
+            members |= tracked_members(logfile_id)
         if parsed.cont_in:
             owner = self._continuation_owner(volume_index, local_block)
             if owner is not None:
-                members.update(self._tracked_ancestors(owner))
+                members |= tracked_members(owner)
         return frozenset(members)
 
     def _report_corrupt_record(
@@ -429,12 +427,6 @@ class LogReader:
             "record.corrupt", volume=volume_index, block=local_block, slot=slot
         )
 
-    def _tracked_ancestors(self, logfile_id: int) -> list[int]:
-        from repro.core.entrymap import UNTRACKED_IDS
-
-        chain = self.store.catalog.members_of(logfile_id)
-        return [a for a in chain if a not in UNTRACKED_IDS]
-
     def _continuation_owner(self, volume_index: int, local_block: int) -> int | None:
         """The logfile id of the entry whose fragment opens this block."""
         global_block = self.store.sequence.to_global(volume_index, local_block)
@@ -445,8 +437,8 @@ class LogReader:
                 return None
             starts = parsed.entry_start_slots()
             if starts:
-                header = self.entry_header_at(parsed, starts[-1])
-                return header.logfile_id if header else None
+                owner = parsed.logfile_ids[starts[-1]]
+                return None if owner == NO_LOGFILE_ID else owner
             if not parsed.cont_in:
                 return None
             probe -= 1
@@ -472,13 +464,14 @@ class LogReader:
             if parsed is None:
                 continue
             for slot in parsed.entry_start_slots():
-                header = self.entry_header_at(parsed, slot)
-                if header is None or header.logfile_id != ENTRYMAP_ID:
+                if parsed.logfile_ids[slot] != ENTRYMAP_ID:
                     continue
                 try:
                     if parsed.is_complete(slot):
                         # Decode in place — no extra block access.
-                        record = EntrymapRecord.decode(header.data)
+                        record = EntrymapRecord.decode(
+                            decode_record(parsed.fragments[slot]).entry.data
+                        )
                     else:
                         location = EntryLocation(
                             global_block=self.store.sequence.to_global(
@@ -621,14 +614,16 @@ class LogReader:
 
     def _belongs(self, entry_logfile_id: int, wanted: int) -> bool:
         """Sublog membership: the entry belongs to ``wanted`` if wanted is
-        the entry's log file or one of its ancestors (Section 2.1)."""
+        the entry's log file or one of its ancestors (Section 2.1).
+        ``tracked_members`` omits the untracked ids; the root is answered
+        first, and the entrymap log file has no sublogs."""
         if entry_logfile_id == wanted:
             return True
-        if wanted == 0:
+        if wanted == VOLUME_SEQUENCE_ID:
             # "The entire sequence of log entries that have been written to
             # a volume can also be considered a log file" (Section 2).
             return True
-        return wanted in self.store.catalog.members_of(entry_logfile_id)
+        return wanted in self.store.catalog.tracked_members(entry_logfile_id)
 
     def iter_entries(
         self,
@@ -648,19 +643,20 @@ class LogReader:
         else:
             yield from self._iter_forward(logfile_id, start_global, start_slot)
 
-    def _block_matches(
-        self, global_block: int, logfile_id: int
-    ) -> list[tuple[int, LogEntry]]:
+    def _block_matches(self, global_block: int, logfile_id: int) -> list[int]:
+        """Slots of the block's decodable records that belong to
+        ``logfile_id``, read off the block's id table."""
         parsed = self.read_parsed_global(global_block)
         if parsed is None:
             return []
-        matches = []
-        for slot in parsed.entry_start_slots():
-            header = self.entry_header_at(parsed, slot)
-            if header is None or not self._belongs(header.logfile_id, logfile_id):
-                continue
-            matches.append((slot, header))
-        return matches
+        logfile_ids = parsed.logfile_ids
+        belongs = self._belongs
+        return [
+            slot
+            for slot in parsed.entry_start_slots()
+            if (entry_id := logfile_ids[slot]) != NO_LOGFILE_ID
+            and belongs(entry_id, logfile_id)
+        ]
 
     def _iter_forward(
         self, logfile_id: int, start_global: int, start_slot: int
@@ -668,7 +664,7 @@ class LogReader:
         current = self.locate_next_global(logfile_id, start_global)
         first = True
         while current is not None:
-            for slot, _header in self._block_matches(current, logfile_id):
+            for slot in self._block_matches(current, logfile_id):
                 if first and current == start_global and slot < start_slot:
                     continue
                 location = EntryLocation(global_block=current, slot=slot)
@@ -696,7 +692,7 @@ class LogReader:
         first = True
         while current is not None:
             matches = self._block_matches(current, logfile_id)
-            for slot, _header in reversed(matches):
+            for slot in reversed(matches):
                 if first and current == start_global and slot > start_slot:
                     continue
                 location = EntryLocation(global_block=current, slot=slot)

@@ -22,9 +22,15 @@ from dataclasses import dataclass
 
 from repro.core.block import BlockBuilder
 from repro.core.catalog import CatalogRecord
-from repro.core.entry import CorruptRecord, LogEntry
-from repro.core.entrymap import UNTRACKED_IDS, EntrymapState
-from repro.core.ids import CATALOG_ID, ENTRYMAP_ID, EntryId, EntryLocation
+from repro.core.entry import NO_LOGFILE_ID, LogEntry
+from repro.core.entrymap import EntrymapState
+from repro.core.ids import (
+    CATALOG_ID,
+    ENTRYMAP_ID,
+    UNTRACKED_IDS,
+    EntryId,
+    EntryLocation,
+)
 from repro.core.store import LogStore
 from repro.worm.errors import CorruptBlockError, StorageError
 from repro.worm.volume import LogVolume
@@ -125,8 +131,7 @@ class TailWriter:
         durable before returning (NVRAM store, or a burned partial block on
         pure WORM configurations).
         """
-        ancestors = self.store.catalog.ancestors(logfile_id)
-        tracked = frozenset(a for a in ancestors if a not in UNTRACKED_IDS)
+        tracked = self._tracked_members(logfile_id)
         timestamp = None
         if want_timestamp or client_seq is not None:
             timestamp = self._make_timestamp()
@@ -175,8 +180,7 @@ class TailWriter:
             )
         if not payloads:
             return []
-        ancestors = self.store.catalog.ancestors(logfile_id)
-        tracked = frozenset(a for a in ancestors if a not in UNTRACKED_IDS)
+        tracked = self._tracked_members(logfile_id)
         space = self.store.space
         results: list[AppendResult] = []
         self._amortize_timestamps = True
@@ -257,6 +261,13 @@ class TailWriter:
             self._burn_current()
 
     # -- internals -------------------------------------------------------------
+
+    def _tracked_members(self, logfile_id: int) -> frozenset[int]:
+        """The entrymap memberships of a client append; an id the catalog
+        does not know raises :class:`~repro.core.catalog.UnknownLogFile`."""
+        catalog = self.store.catalog
+        catalog.info(logfile_id)
+        return catalog.tracked_members(logfile_id)
 
     def _make_timestamp(self) -> int:
         if self._amortize_timestamps:
@@ -390,17 +401,13 @@ class TailWriter:
     def _renote_members(self, image: bytes, local: int) -> None:
         """Record a relocated block's memberships under its real address."""
         from repro.core.block import parse_block
-        from repro.core.entry import decode_record
 
         parsed = parse_block(image)
         members: set[int] = set(self._carry_tracked_ids if parsed.cont_in else ())
         for slot in parsed.entry_start_slots():
-            try:
-                header = decode_record(parsed.fragments[slot]).entry
-            except CorruptRecord:
-                continue
-            chain = self.store.catalog.members_of(header.logfile_id)
-            members.update(a for a in chain if a not in UNTRACKED_IDS)
+            logfile_id = parsed.logfile_ids[slot]
+            if logfile_id != NO_LOGFILE_ID:
+                members |= self.store.catalog.tracked_members(logfile_id)
         if members:
             self._state.note_membership(local, members)
 

@@ -4,7 +4,7 @@ fragmentation, and round-trip properties."""
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.block import (
@@ -14,7 +14,7 @@ from repro.core.block import (
     MIN_BLOCK_SIZE,
     parse_block,
 )
-from repro.core.entry import LogEntry
+from repro.core.entry import NO_LOGFILE_ID, CorruptRecord, LogEntry, decode_record
 
 BS = 128
 
@@ -33,7 +33,9 @@ def pack_blocks(records, block_size=BS):
     images = []
     builder = BlockBuilder(block_size)
     for rec in records:
-        header_size = 2  # minimal-form records in these tests
+        # Minimal-form records in these tests; a deliberately corrupt
+        # record may be shorter than that.
+        header_size = min(2, len(rec))
         taken = builder.add_record(rec, header_size)
         while taken < len(rec):
             if taken == 0 and builder.is_empty:
@@ -216,6 +218,24 @@ record_sizes = st.lists(
     st.integers(min_value=0, max_value=400), min_size=1, max_size=30
 )
 
+#: Records decode_record rejects: too short for any header, a TIMESTAMPED
+#: version nibble with its 10-byte header cut short, and header-version 0.
+CORRUPT_RECORDS = (b"\x81", b"\x20\x08\x00", b"\x00\x08xyz")
+
+#: (position in the record stream, corrupt record) insertions.
+corrupt_insertions = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=30), st.sampled_from(CORRUPT_RECORDS)),
+    max_size=3,
+)
+
+
+def expected_logfile_id(rec):
+    """What the block's id table must say for a record starting with ``rec``."""
+    try:
+        return decode_record(rec).entry.logfile_id
+    except CorruptRecord:
+        return NO_LOGFILE_ID
+
 
 def reassemble(images):
     """Reconstruct the full record stream from consecutive block images."""
@@ -239,12 +259,31 @@ def reassemble(images):
 
 
 class TestBlockProperties:
-    @given(record_sizes)
+    @given(record_sizes, corrupt_insertions)
+    @example(sizes=[3, 200, 5], corrupt=[(1, b"\x20\x08\x00"), (3, b"\x00\x08xyz")])
+    @example(sizes=[200, 250], corrupt=[(1, b"\x81"), (1, b"\x00\x08xyz")])
     @settings(max_examples=100, deadline=None)
-    def test_pack_parse_reassemble_roundtrip(self, sizes):
+    def test_pack_parse_reassemble_roundtrip(self, sizes, corrupt):
         recs = [record(logfile_id=8 + (i % 5), size=s) for i, s in enumerate(sizes)]
+        for position, bad in corrupt:
+            recs.insert(min(position, len(recs)), bad)
         images = pack_blocks(recs)
         assert reassemble(images) == recs
+        # The id table: one id per fragment, decode_record's answer (or the
+        # sentinel) at every entry start, including a cont_out last slot,
+        # and the sentinel on a cont_in block's continuation fragment.
+        table = []
+        for image in images:
+            parsed = parse_block(image)
+            assert len(parsed.logfile_ids) == parsed.fragment_count
+            if parsed.cont_in:
+                assert parsed.logfile_ids[0] == NO_LOGFILE_ID
+            for slot in parsed.entry_start_slots():
+                logfile_id = parsed.logfile_ids[slot]
+                assert logfile_id == expected_logfile_id(parsed.fragments[slot])
+                table.append(logfile_id)
+        assert table == [expected_logfile_id(rec) for rec in recs]
+        assert table.count(NO_LOGFILE_ID) == len(corrupt)
 
     @given(record_sizes, st.sampled_from([64, 128, 256, 1024]))
     @settings(max_examples=60, deadline=None)

@@ -103,6 +103,49 @@ class TestReaderInternals:
         containing = [m for m in member_sets if m and big.logfile_id in m]
         assert len(containing) >= 3
 
+    def test_corrupt_record_slot_is_reported_once_and_skipped(self):
+        """A CRC-valid block whose one slot has header-version 0 (garbage
+        inside a structurally intact block): membership scans report the
+        slot exactly once, iteration skips it and keeps its neighbours,
+        and fsck flags it."""
+        from repro.core.fsck import check_service
+
+        service = make_service(observability=True)
+        log = service.create_log_file("/app")
+        results = [log.append(f"entry-{i}".encode()) for i in range(3)]
+        bad = results[1].location
+        assert {r.location.global_block for r in results} == {bad.global_block}
+        # Clear the header-version nibble of entry-1 in the open tail
+        # block, then burn it: the encoder writes a valid CRC over it.
+        fragments = service.writer._builder._fragments
+        fragments[bad.slot] = bytes([fragments[bad.slot][0] & 0x0F]) + fragments[
+            bad.slot
+        ][1:]
+        service.writer.flush()
+
+        reader = service.reader
+        volume, local = service.store.sequence.to_local(bad.global_block)
+        for _ in range(2):
+            members = reader.block_members(volume, local)
+            assert log.logfile_id in members
+        assert reader.stats.corrupt_records_found == 1
+        events = [e for e in service.journal.events() if e.kind == "record.corrupt"]
+        assert [(e.attr("block"), e.attr("slot")) for e in events] == [
+            (local, bad.slot)
+        ]
+
+        assert [e.data for e in log.entries()] == [b"entry-0", b"entry-2"]
+        assert [e.data for e in log.entries(reverse=True)] == [
+            b"entry-2",
+            b"entry-0",
+        ]
+
+        report = check_service(service)
+        assert any(
+            f.block == local and f.message == f"undecodable record in slot {bad.slot}"
+            for f in report.errors
+        )
+
     def test_entry_at_wrong_slot_raises(self):
         service = make_service()
         log = service.create_log_file("/app")

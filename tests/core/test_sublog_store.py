@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core import LogService
 from repro.core.catalog import Catalog
-from repro.core.ids import VOLUME_SEQUENCE_ID
+from repro.core.ids import ENTRYMAP_ID, VOLUME_SEQUENCE_ID
 from repro.core.store import SpaceStats, StoreConfig
 from repro.core.sublog import common_ancestor, depth, descendants, is_member
 
@@ -56,6 +57,40 @@ class TestSublogRelations:
         assert common_ancestor(catalog, 9, 11) == VOLUME_SEQUENCE_ID
         assert common_ancestor(catalog, 9, 8) == 8
         assert common_ancestor(catalog, 9, 9) == 9
+
+
+class TestMembershipMemo:
+    """Catalog.tracked_members is memoized; Catalog.apply clears the memo."""
+
+    def test_tracked_members_drop_untracked_ids(self):
+        catalog = make_tree()
+        assert catalog.tracked_members(9) == {9, 8}
+        assert catalog.tracked_members(ENTRYMAP_ID) == frozenset()
+        assert catalog.tracked_members(VOLUME_SEQUENCE_ID) == frozenset()
+
+    def test_apply_invalidates_a_memoized_answer(self):
+        catalog = make_tree()
+        # Unknown ids count only for themselves, and that answer is memoized.
+        assert catalog.tracked_members(12) == {12}
+        catalog.apply(catalog.make_create_record(12, "brown", 8, 0o644, 0))
+        assert catalog.tracked_members(12) == {12, 8}
+
+    def test_new_sublog_joins_its_parent_live_and_after_replay(self):
+        service = LogService.create(
+            block_size=256, degree_n=4, volume_capacity_blocks=512
+        )
+        a = service.create_log_file("/a")
+        a.append(b"a-1", force=True)
+        assert [e.data for e in a.entries()] == [b"a-1"]
+        b = a.create_sublog("b")
+        b.append(b"b-1", force=True)
+        assert [e.data for e in a.entries()] == [b"a-1", b"b-1"]
+
+        remains = service.crash()
+        mounted, _ = LogService.mount(remains.devices, remains.nvram)
+        a = mounted.open_log_file("/a")
+        assert [e.data for e in a.entries()] == [b"a-1", b"b-1"]
+        assert [e.data for e in a.entries(reverse=True)] == [b"b-1", b"a-1"]
 
 
 class TestSpaceStats:
