@@ -187,7 +187,16 @@ class FileBackedWormDevice(WormDevice):
 
 
 class FileBackedNvram(NvramTail):
-    """Battery-backed tail RAM persisted to a sidecar file."""
+    """Battery-backed tail RAM persisted to a sidecar file.
+
+    The sidecar is rewritten (tmp file + ``os.replace``) on every
+    :meth:`store`, and on a :meth:`clear` only when an image is staged.
+    Skipping the empty clear is safe because every store and clear
+    persists before it returns, so the file already mirrors the empty
+    memory, and :meth:`_reload` reads a missing or header-only file as
+    empty.  The writer clears on every block burn, so a burn with no force
+    since the last one touches no file besides the volume image.
+    """
 
     _HEADER = struct.Struct(">8sQI")
     _MAGIC = b"CLIONVR1"
@@ -237,5 +246,7 @@ class FileBackedNvram(NvramTail):
         self._persist()
 
     def clear(self) -> None:
+        if self._image is None:
+            return
         super().clear()
         self._persist()

@@ -1,5 +1,7 @@
 """Tests for file-backed devices/NVRAM and the clio CLI."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -82,6 +84,23 @@ class TestFileBackedNvram:
         nvram = FileBackedNvram(str(tmp_path / "none.img"), capacity_bytes=BS)
         assert nvram.load() is None
 
+    def test_clear_of_empty_nvram_writes_no_file(self, tmp_path):
+        path = tmp_path / "nvram.img"
+        FileBackedNvram(str(path), capacity_bytes=BS).clear()
+        assert not path.exists()
+        assert not (tmp_path / "nvram.img.tmp").exists()
+
+    def test_repeated_clear_leaves_file_untouched(self, tmp_path):
+        path = tmp_path / "nvram.img"
+        nvram = FileBackedNvram(str(path), capacity_bytes=BS)
+        nvram.store(7, b"x")
+        nvram.clear()
+        before = path.stat()
+        nvram.clear()
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert FileBackedNvram(str(path), capacity_bytes=BS).load() is None
+
 
 class TestServicePersistence:
     def test_service_survives_process_exit(self, tmp_path):
@@ -118,6 +137,57 @@ class TestServicePersistence:
         mounted, report = LogService.mount(devices, nvram2)
         got = [e.data for e in mounted.open_log_file("/persist").entries()]
         assert got == [f"entry-{i}".encode() * 3 for i in range(30)]
+        assert report.nvram_tail_recovered
+
+    def test_unforced_burns_rewrite_nvram_once(self, tmp_path, monkeypatch):
+        """Only the burn that clears a staged image rewrites the sidecar;
+        later burns find the NVRAM empty and leave the file alone."""
+        devices = []
+
+        def factory():
+            device = FileBackedWormDevice.create(
+                str(tmp_path / f"vol-{len(devices):03d}.img"),
+                block_size=BS,
+                capacity_blocks=64,
+            )
+            devices.append(device)
+            return device
+
+        service = LogService.create(
+            block_size=BS,
+            degree_n=4,
+            volume_capacity_blocks=64,
+            device_factory=factory,
+            nvram=FileBackedNvram(str(tmp_path / "nvram.img"), capacity_bytes=BS),
+        )
+        log = service.create_log_file("/burns")
+        payloads = [b"forced-0"]
+        log.append(payloads[0], force=True)
+
+        replaces = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            replaces.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr("repro.worm.filebacked.os.replace", counting_replace)
+        burned_before = sum(d.blocks_written for d in devices)
+        while sum(d.blocks_written for d in devices) - burned_before < 3:
+            payloads.append(f"unforced-{len(payloads)}".encode() * 4)
+            log.append(payloads[-1])
+            assert len(payloads) < 200
+        assert len(replaces) == 1
+
+        payloads.append(b"forced-last")
+        log.append(payloads[-1], force=True)
+        del service, log  # "process exit"
+
+        reopened = [FileBackedWormDevice.open_path(d.path) for d in devices]
+        nvram = FileBackedNvram(str(tmp_path / "nvram.img"), capacity_bytes=BS)
+        mounted, report = LogService.mount(reopened, nvram)
+        got = [e.data for e in mounted.open_log_file("/burns").entries()]
+        assert got == payloads
         assert report.nvram_tail_recovered
 
 
